@@ -18,9 +18,8 @@ import (
 // (the CLI's -drop-rate/-partition/-adversary flags wire through here).
 
 // FaultPlan is the composable fault-injection plan a transport-backed
-// testbed carries: a global drop rate, asymmetric per-link drops,
-// message-class-targeted loss, and named network partitions with heal
-// events. See the methods of internal/simnet.Faults.
+// testbed carries: a global drop rate, dead nodes, and named network
+// partitions with heal events. See the methods of internal/simnet.Faults.
 type FaultPlan = simnet.Faults
 
 // FaultPlan returns the testbed's fault plan. It is nil for the oracle
@@ -98,7 +97,7 @@ func (tb *Testbed) InstallAdversary(spec string, seed uint64, exclude ...int) (*
 	if err != nil {
 		return nil, err
 	}
-	if tb.backend != ChordBackend && tb.backend != KademliaBackend {
+	if tb.ov == nil {
 		return nil, fmt.Errorf("randompeer: adversary requires a transport-backed backend (chord or kademlia), not %s", tb.backend)
 	}
 	excludePoints := []Point{tb.r.At(0)}
@@ -118,32 +117,19 @@ func (tb *Testbed) InstallAdversary(spec string, seed uint64, exclude ...int) (*
 	if kind == adversary.Eclipse {
 		cfg.Victim = tb.r.At(tb.n / 2)
 	}
-	var members []Point
-	var install func(plan *adversary.Plan, t simnet.Interceptable)
-	var t simnet.Transport
-	switch tb.backend {
-	case ChordBackend:
-		members = tb.net.Members()
-		t = tb.net.Transport()
-		install = func(plan *adversary.Plan, it simnet.Interceptable) {
-			it.SetInterceptor(plan.ChordInterceptor())
-		}
-	case KademliaBackend:
-		members = tb.knet.Members()
-		t = tb.knet.Transport()
-		install = func(plan *adversary.Plan, it simnet.Interceptable) {
-			it.SetInterceptor(plan.KademliaInterceptor())
-		}
-	}
-	it, ok := t.(simnet.Interceptable)
+	it, ok := tb.ov.Transport().(simnet.Interceptable)
 	if !ok {
-		return nil, fmt.Errorf("randompeer: transport %T does not support Byzantine interception", t)
+		return nil, fmt.Errorf("randompeer: transport %T does not support Byzantine interception", tb.ov.Transport())
 	}
-	plan, err := adversary.New(members, cfg)
+	plan, err := adversary.New(tb.ov.Members(), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("randompeer: compiling adversary: %w", err)
 	}
-	install(plan, it)
+	if tb.backend == ChordBackend {
+		it.SetInterceptor(plan.ChordInterceptor())
+	} else {
+		it.SetInterceptor(plan.KademliaInterceptor())
+	}
 	return &Adversary{tb: tb, plan: plan}, nil
 }
 
@@ -198,25 +184,16 @@ func (a *Adversary) Victim() (Peer, error) {
 func (a *Adversary) EclipseFraction() (float64, error) {
 	switch a.tb.backend {
 	case ChordBackend:
-		return a.plan.EclipseChord(a.tb.net)
+		return a.plan.EclipseChord(a.tb.ChordNetwork())
 	case KademliaBackend:
-		return a.plan.EclipseKademlia(a.tb.knet)
+		return a.plan.EclipseKademlia(a.tb.KademliaNetwork())
 	}
 	return 0, fmt.Errorf("randompeer: no eclipse measurement for backend %s", a.tb.backend)
 }
 
 // Remove disarms the attack, restoring honest RPC delivery.
 func (a *Adversary) Remove() {
-	var t simnet.Transport
-	switch a.tb.backend {
-	case ChordBackend:
-		t = a.tb.net.Transport()
-	case KademliaBackend:
-		t = a.tb.knet.Transport()
-	default:
-		return
-	}
-	if it, ok := t.(simnet.Interceptable); ok {
+	if it, ok := a.tb.ov.Transport().(simnet.Interceptable); ok {
 		it.SetInterceptor(nil)
 	}
 }
@@ -244,25 +221,18 @@ func (tb *Testbed) SwapSampler(seed uint64, vantages int) (Sampler, error) {
 	}
 	views := make([]dht.DHT, 0, vantages)
 	for _, i := range tb.SwapVantages(vantages) {
-		switch tb.backend {
-		case ChordBackend:
-			v, err := tb.net.AsDHT(tb.r.At(i))
-			if err != nil {
-				return nil, fmt.Errorf("randompeer: swap vantage %d: %w", i, err)
-			}
-			views = append(views, v)
-		case KademliaBackend:
-			v, err := tb.knet.AsDHT(tb.r.At(i))
-			if err != nil {
-				return nil, fmt.Errorf("randompeer: swap vantage %d: %w", i, err)
-			}
-			views = append(views, v)
-		default:
+		if tb.ov == nil {
 			// The oracle has one global view; the audit degenerates to
 			// agreement-with-itself, which keeps the sampler available
 			// for apples-to-apples comparisons.
 			views = append(views, tb.oracle)
+			continue
 		}
+		v, err := tb.ov.AsDHT(tb.r.At(i))
+		if err != nil {
+			return nil, fmt.Errorf("randompeer: swap vantage %d: %w", i, err)
+		}
+		views = append(views, v)
 	}
 	rng := rand.New(rand.NewPCG(seed, seed^0x9b05688c2b3e6c1f))
 	// Key-split skew of 1/64 mean arc keeps the honest false-rejection

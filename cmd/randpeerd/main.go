@@ -54,6 +54,7 @@ import (
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/kademlia"
 	"github.com/dht-sampling/randompeer/internal/obs"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 	"github.com/dht-sampling/randompeer/internal/wire"
@@ -144,13 +145,6 @@ func run(args []string) int {
 	return 0
 }
 
-// overlayDHT is the view both backend adapters expose: the abstract
-// DHT model plus the caller's own identity.
-type overlayDHT interface {
-	dht.DHT
-	Self() dht.Peer
-}
-
 // traceLogCapacity bounds the server-side span ring: enough to hold
 // every hop of many concurrent traced lookups without growing.
 const traceLogCapacity = 4096
@@ -167,7 +161,7 @@ type daemon struct {
 	mu      sync.Mutex
 	backend string
 	owned   []ring.Point
-	view    overlayDHT // overlay viewed from owned[0]; nil before provision
+	view    *overlay.DHT // overlay viewed from owned[0]; nil before provision
 	joinVia func(id, bootstrap ring.Point) error
 }
 
@@ -295,47 +289,44 @@ func (d *daemon) handleProvision(w http.ResponseWriter, r *http.Request) {
 	d.view, d.joinVia, d.owned, d.backend = nil, nil, nil, ""
 
 	owned := func(p ring.Point) bool { return ownedSet[p] }
+	var net interface {
+		AsDHT(ring.Point) (*overlay.DHT, error)
+	}
 	switch req.Backend {
 	case "chord":
-		net, err := chord.BuildStaticPartition(chord.Config{}, d.tr, points, owned)
+		c, err := chord.BuildStaticPartition(chord.Config{}, d.tr, points, owned)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, "provision: %v", err)
 			return
 		}
 		d.joinVia = func(id, bootstrap ring.Point) error {
-			_, err := net.JoinVia(id, bootstrap)
+			_, err := c.JoinVia(id, bootstrap)
 			return err
 		}
-		if len(req.Owned) > 0 {
-			view, err := net.AsDHT(ring.Point(req.Owned[0]))
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, "provision: %v", err)
-				return
-			}
-			d.view = view
-		}
+		net = c
 	case "kademlia":
 		cfg := kademlia.Config{BucketSize: req.Bucket, Alpha: req.Alpha}
-		net, err := kademlia.BuildStaticPartition(cfg, d.tr, points, owned)
+		k, err := kademlia.BuildStaticPartition(cfg, d.tr, points, owned)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, "provision: %v", err)
 			return
 		}
 		d.joinVia = func(id, bootstrap ring.Point) error {
-			_, err := net.JoinVia(id, bootstrap)
+			_, err := k.JoinVia(id, bootstrap)
 			return err
 		}
-		if len(req.Owned) > 0 {
-			view, err := net.AsDHT(ring.Point(req.Owned[0]))
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, "provision: %v", err)
-				return
-			}
-			d.view = view
-		}
+		net = k
 	default:
 		httpError(w, http.StatusBadRequest, "provision: unknown backend %q", req.Backend)
 		return
+	}
+	if len(req.Owned) > 0 {
+		view, err := net.AsDHT(ring.Point(req.Owned[0]))
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "provision: %v", err)
+			return
+		}
+		d.view = view
 	}
 	d.backend = req.Backend
 	d.owned = toPoints(req.Owned)

@@ -2,227 +2,45 @@ package chord
 
 import (
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
-	"github.com/dht-sampling/randompeer/internal/ring"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 )
 
-// Flat index-based node storage.
-//
-// Every node the network knows about — live members, crashed members
-// whose state in-flight RPCs may still read, and external contacts
-// learned over the wire — occupies one dense uint32 slot in a
-// struct-of-arrays arena. All routing state (successor lists, fingers,
-// predecessors) lives as packed uint32 slot references in per-network
-// contiguous slices: no per-node heap objects, no map[Point]*Node, no
-// per-node []Point slices. A 10^7-node ring is a handful of large
-// allocations instead of 10^7 small ones, which is what makes
-// sub-minute builds and few-GB residency possible.
-//
-// The ID↔slot bridge is the copy-on-write sorted membership snapshot
-// (Network.members) plus an aligned slot snapshot (Network.memberSlots):
-// a member's slot is memberSlots[rank] with rank found by binary search
-// (ring.Rank). Non-member slots — zombies (crashed nodes still visible
-// to in-flight RPCs) and external contacts — resolve through a small
-// overflow map that only ever holds the churn margin, never the ring.
-//
-// Locking. Per-slot routing state is guarded by a fixed pool of striped
-// RWMutexes (slot & stripeMask picks the stripe), replacing the old
-// per-node mutex. The network mutex guards membership, the bridge, slot
-// allocation and the alive flags. Lock order is network.mu before
-// stripe. Slot identifiers (ids) are read and written atomically, so
-// translating a slot reference found in another node's routing array
-// back to its identifier needs no cross-stripe locking; array growth
-// swaps the backing slices under network.mu plus every stripe, so any
-// reader holding either lock never observes a half-moved arena.
-//
-// Slot reuse can alias: a handle or routing entry observed just before
-// its slot was scavenged and recycled reads the new occupant's state.
-// That is protocol-equivalent to the stale answers crashed nodes have
-// always been allowed to give (routing verifies progress every hop),
-// and the atomic ids keep it a stale read, never a data race.
-type arena struct {
-	stripes [numStripes]sync.RWMutex
-
-	// used is the number of allocated slots. Every array below has
-	// len == cap spanning the arena capacity, so growth (which swaps
-	// the backing arrays under all stripes) is the only operation that
-	// ever changes a slice header.
-	used int
-
-	ids   []uint64 // slot -> identifier; atomic access
-	alive []bool   // slot hosts a live local member (network.mu)
-
+// routing is chord's half of the flat slot arena (see overlay.Core for
+// the arena, its bridge and its locking): per-slot routing state as
+// packed uint32 slot references in contiguous slices, guarded by the
+// core's stripes. Every array has len == cap spanning the arena
+// capacity; the core grows them through growRouting.
+type routing struct {
 	preds   []uint32 // predecessor slot, noSlot when unknown
 	succLen []uint16 // live prefix length of the successor row
 	succs   []uint32 // successor rows, stride = Network.succStride
 	fingers []uint32 // finger rows, stride = idBits; nil when disabled
 	fingOK  []uint64 // finger-set bitmask, one word per slot
 	nextFix []uint8  // next finger index to fix
-
-	handles []Node // preconstructed public handles, one per slot
-
-	free     []uint32 // recycled slots ready for reuse (LIFO)
-	freeBits []uint64 // bitset marking slots currently on free
-	overflow map[ring.Point]uint32
-	// reclaimable counts dead (zombie or external) slots not yet on
-	// the free list; it triggers the mark-and-sweep scavenger.
-	reclaimable int
 }
 
-const (
-	numStripes = 256
-	stripeMask = numStripes - 1
-	noSlot     = ^uint32(0)
-)
+// noSlot marks an unknown predecessor.
+const noSlot = ^uint32(0)
 
-// stripe returns the lock guarding slot s's routing state.
-func (a *arena) stripe(s uint32) *sync.RWMutex { return &a.stripes[s&stripeMask] }
-
-// id returns slot s's identifier. Callers must hold a stripe or the
-// network mutex (either mode) to pin the backing array; the element
-// itself is read atomically, so s may belong to any stripe.
-func (a *arena) id(s uint32) ring.Point {
-	return ring.Point(atomic.LoadUint64(&a.ids[s]))
-}
-
-// lockAllStripes acquires every stripe in index order.
-func (a *arena) lockAllStripes() {
-	for i := range a.stripes {
-		a.stripes[i].Lock()
-	}
-}
-
-// unlockAllStripes releases every stripe.
-func (a *arena) unlockAllStripes() {
-	for i := range a.stripes {
-		a.stripes[i].Unlock()
-	}
-}
-
-// growLocked reallocates every per-slot array to the new capacity,
-// copying the used prefix. Callers must hold network.mu plus every
-// stripe, except during single-threaded construction.
-func (n *Network) growLocked(capacity int) {
+// growRouting reallocates every routing array to the new capacity
+// (overlay.Spec.Grow).
+func (n *Network) growRouting(capacity int) {
 	a := &n.st
-	if capacity <= cap(a.ids) {
-		return
-	}
-	a.ids = growCopy(a.ids, capacity)
-	a.alive = growCopy(a.alive, capacity)
-	a.preds = growCopy(a.preds, capacity)
-	a.succLen = growCopy(a.succLen, capacity)
-	a.succs = growCopy(a.succs, capacity*n.succStride)
+	a.preds = overlay.GrowCopy(a.preds, capacity)
+	a.succLen = overlay.GrowCopy(a.succLen, capacity)
+	a.succs = overlay.GrowCopy(a.succs, capacity*n.succStride)
 	if !n.cfg.DisableFingers {
-		a.fingers = growCopy(a.fingers, capacity*idBits)
-		a.fingOK = growCopy(a.fingOK, capacity)
+		a.fingers = overlay.GrowCopy(a.fingers, capacity*idBits)
+		a.fingOK = overlay.GrowCopy(a.fingOK, capacity)
 	}
-	a.nextFix = growCopy(a.nextFix, capacity)
-	a.freeBits = growCopy(a.freeBits, (capacity+63)/64)
-	handles := make([]Node, capacity)
-	copy(handles, a.handles)
-	a.handles = handles
+	a.nextFix = overlay.GrowCopy(a.nextFix, capacity)
 }
 
-// growCopy returns a full-length slice of the new capacity holding a
-// copy of src.
-func growCopy[T any](src []T, capacity int) []T {
-	dst := make([]T, capacity)
-	copy(dst, src)
-	return dst
-}
-
-// lookupLocked resolves an id to its slot: members bridge first, then
-// the overflow map. Caller holds network.mu (either mode).
-func (n *Network) lookupLocked(id ring.Point) (uint32, bool) {
-	if rank, ok := ring.Rank(n.members, id); ok {
-		return n.memberSlots[rank], true
-	}
-	s, ok := n.st.overflow[id]
-	return s, ok
-}
-
-// intern resolves id to a slot, allocating an external slot when the
-// id has never been seen. On the steady-state path (id is a member)
-// this is one binary search under a read lock and allocates nothing.
-// Callers must not hold any stripe (lock order: mu before stripe).
-func (n *Network) intern(id ring.Point) uint32 {
-	n.mu.RLock()
-	s, ok := n.lookupLocked(id)
-	n.mu.RUnlock()
-	if ok {
-		return s
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if s, ok := n.lookupLocked(id); ok {
-		return s
-	}
-	s = n.newSlotLocked(id)
-	n.st.overflow[id] = s
-	n.st.reclaimable++ // external slots are reclaimable once unreferenced
-	return s
-}
-
-// slotOf resolves an id without allocating; the second result is false
-// for ids the network has never seen (or whose slot was scavenged).
-func (n *Network) slotOf(id ring.Point) (uint32, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.lookupLocked(id)
-}
-
-// liveSlot resolves an id to the slot of a live locally-hosted member.
-func (n *Network) liveSlot(id ring.Point) (uint32, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	rank, ok := ring.Rank(n.members, id)
-	if !ok {
-		return 0, false
-	}
-	s := n.memberSlots[rank]
-	return s, n.st.alive[s]
-}
-
-// newSlotLocked allocates a slot for id and resets its routing state
-// to the fresh-node baseline. Caller holds network.mu; the new slot is
-// not yet live and not yet in any bridge structure.
-func (n *Network) newSlotLocked(id ring.Point) uint32 {
+// resetRouting writes slot s's fresh-node baseline (overlay.Spec.Reset):
+// successor self, no predecessor, no fingers.
+func (n *Network) resetRouting(s uint32) {
 	a := &n.st
-	if len(a.free) == 0 && a.reclaimable >= scavengeThreshold(a.used) {
-		n.scavengeLocked()
-	}
-	var s uint32
-	if len(a.free) > 0 {
-		s = a.free[len(a.free)-1]
-		a.free = a.free[:len(a.free)-1]
-		a.freeBits[s/64] &^= 1 << (s % 64)
-	} else {
-		if a.used == cap(a.ids) {
-			next := a.used * 2
-			if next < 16 {
-				next = 16
-			}
-			a.lockAllStripes()
-			n.growLocked(next)
-			a.unlockAllStripes()
-		}
-		s = uint32(a.used)
-		a.used++
-	}
-	n.resetSlotLocked(s, id)
-	return s
-}
-
-// resetSlotLocked rewrites slot s to the fresh-node baseline for id:
-// successor self, no predecessor, no fingers, empty store. Caller holds
-// network.mu; the slot must not be referenced by any live node.
-func (n *Network) resetSlotLocked(s uint32, id ring.Point) {
-	a := &n.st
-	st := a.stripe(s)
-	st.Lock()
-	atomic.StoreUint64(&a.ids[s], uint64(id))
 	a.preds[s] = noSlot
 	a.succLen[s] = 1
 	a.succs[int(s)*n.succStride] = s
@@ -230,132 +48,23 @@ func (n *Network) resetSlotLocked(s uint32, id ring.Point) {
 		a.fingOK[s] = 0
 	}
 	a.nextFix[s] = 0
-	a.handles[s] = Node{net: n, slot: s}
-	st.Unlock()
-	n.dropStore(s)
 }
 
-// scavengeThreshold is the dead-slot count that triggers a sweep.
-func scavengeThreshold(used int) int {
-	if t := used / 8; t > 64 {
-		return t
-	}
-	return 64
-}
-
-// scavengeLocked frees every dead slot no live member references: it
-// marks the slots reachable from the membership bridge and every live
-// node's routing arrays, then moves unmarked dead slots to the free
-// list (LIFO, so reuse order is deterministic) and drops their overflow
-// entries. Caller holds network.mu.
-func (n *Network) scavengeLocked() int {
+// markRouting marks the slots live slot s references: its successor
+// row, predecessor and set fingers (overlay.Spec.Mark).
+func (n *Network) markRouting(s uint32, marks overlay.Bits) {
 	a := &n.st
-	a.lockAllStripes()
-	defer a.unlockAllStripes()
-	marks := make([]uint64, (a.used+63)/64)
-	mark := func(s uint32) { marks[s/64] |= 1 << (s % 64) }
-	for _, s := range n.memberSlots {
-		mark(s)
+	base := int(s) * n.succStride
+	for i := 0; i < int(a.succLen[s]); i++ {
+		marks.Set(a.succs[base+i])
 	}
-	for _, s := range n.memberSlots {
-		if !a.alive[s] {
-			continue // remote members of a partitioned build hold no local state
-		}
-		base := int(s) * n.succStride
-		for i := 0; i < int(a.succLen[s]); i++ {
-			mark(a.succs[base+i])
-		}
-		if p := a.preds[s]; p != noSlot {
-			mark(p)
-		}
-		if !n.cfg.DisableFingers {
-			fb := int(s) * idBits
-			for w := a.fingOK[s]; w != 0; w &= w - 1 {
-				mark(a.fingers[fb+bits.TrailingZeros64(w)])
-			}
+	if p := a.preds[s]; p != noSlot {
+		marks.Set(p)
+	}
+	if !n.cfg.DisableFingers {
+		fb := int(s) * idBits
+		for w := a.fingOK[s]; w != 0; w &= w - 1 {
+			marks.Set(a.fingers[fb+bits.TrailingZeros64(w)])
 		}
 	}
-	freed := 0
-	for s := uint32(0); int(s) < a.used; s++ {
-		if a.alive[s] || marks[s/64]&(1<<(s%64)) != 0 || a.freeBits[s/64]&(1<<(s%64)) != 0 {
-			continue
-		}
-		a.free = append(a.free, s)
-		a.freeBits[s/64] |= 1 << (s % 64)
-		n.dropStore(s)
-		freed++
-	}
-	if freed > 0 {
-		for id, s := range a.overflow {
-			if a.freeBits[s/64]&(1<<(s%64)) != 0 {
-				delete(a.overflow, id)
-			}
-		}
-	}
-	a.reclaimable -= freed
-	if a.reclaimable < 0 {
-		a.reclaimable = 0
-	}
-	return freed
-}
-
-// Scavenge forces one slot-recycling sweep and reports how many dead
-// slots were freed for reuse. The network runs sweeps automatically
-// once enough reclaimable slots accumulate; tests and operators use
-// this to observe recycling deterministically.
-func (n *Network) Scavenge() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.scavengeLocked()
-}
-
-// StorageStats reports the flat storage layout's occupancy.
-type StorageStats struct {
-	// Slots is the arena size: every node ever seen occupies one slot
-	// until scavenged.
-	Slots int
-	// Live is the number of slots hosting live locally-hosted members.
-	Live int
-	// Free is the number of recycled slots awaiting reuse.
-	Free int
-	// Reclaimable is the number of dead slots not yet recycled (they
-	// free once no live node's routing state references them).
-	Reclaimable int
-}
-
-// StorageStats returns the current slot-arena occupancy.
-func (n *Network) StorageStats() StorageStats {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	live := 0
-	for _, s := range n.memberSlots {
-		if n.st.alive[s] {
-			live++
-		}
-	}
-	return StorageStats{
-		Slots:       n.st.used,
-		Live:        live,
-		Free:        len(n.st.free),
-		Reclaimable: n.st.reclaimable,
-	}
-}
-
-// spliceIn returns a copy of s with v inserted at index i
-// (copy-on-write, the aligned-snapshot counterpart of
-// ring.InsertSorted).
-func spliceIn[T any](s []T, i int, v T) []T {
-	out := make([]T, len(s)+1)
-	copy(out, s[:i])
-	out[i] = v
-	copy(out[i+1:], s[i:])
-	return out
-}
-
-// spliceOut returns a copy of s with index i removed (copy-on-write).
-func spliceOut[T any](s []T, i int) []T {
-	out := make([]T, len(s)-1)
-	copy(out, s[:i])
-	copy(out[i:], s[i+1:])
-	return out
 }

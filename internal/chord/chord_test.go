@@ -504,14 +504,16 @@ func TestLookupSurvivesMessageDrops(t *testing.T) {
 	}
 }
 
-func TestChanTransportLookups(t *testing.T) {
+// TestConcurrentLookups resolves keys from several goroutines at once
+// over one network; under -race it covers concurrent routing reads.
+func TestConcurrentLookups(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewPCG(51, 52))
 	r, err := ring.Generate(rng, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := simnet.NewChan()
+	tr := simnet.NewDirect()
 	defer tr.Close()
 	net, err := BuildStatic(Config{}, tr, r.Points())
 	if err != nil {

@@ -1,6 +1,7 @@
 package chord_test
 
 import (
+	"errors"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -132,5 +133,32 @@ func TestChordWireJoinVia(t *testing.T) {
 		if got != want {
 			t.Fatalf("lookup(%v) = %v, want %v", key, got, want)
 		}
+	}
+}
+
+// TestChordNextUnknownPeerClass checks that next on a point no peer
+// occupies fails with both the DHT contract's dht.ErrUnknownPeer and
+// the transport's "unknown" error class, so failure accounting files it
+// as an unknown destination rather than an application error.
+func TestChordNextUnknownPeerClass(t *testing.T) {
+	t.Parallel()
+	r, err := ring.Generate(rand.New(rand.NewPCG(61, 62)), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := chord.BuildStatic(chord.Config{}, simnet.NewDirect(), r.Points())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := net.AsDHT(r.At(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.Next(dht.Peer{Point: dhttest.NonMember(r), Owner: -1})
+	if !errors.Is(err, dht.ErrUnknownPeer) {
+		t.Errorf("err = %v, want dht.ErrUnknownPeer", err)
+	}
+	if got := simnet.ErrorClass(err); got != "unknown" {
+		t.Errorf("ErrorClass = %q, want \"unknown\" (err = %v)", got, err)
 	}
 }

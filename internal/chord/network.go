@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/parallel"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
@@ -40,35 +41,17 @@ func (c Config) withDefaults() Config {
 }
 
 // Network is a collection of Chord nodes sharing one simulated
-// transport. All per-node state lives in a flat slot arena (see
-// arena.go); nodes are addressed internally by dense uint32 slot and
-// externally by ring.Point identifier.
+// transport. The embedded overlay.Core holds the slot arena, the
+// membership and the transport binding; chord's per-slot routing arrays
+// live beside it in st (see arena.go). Nodes are addressed internally by
+// dense uint32 slot and externally by ring.Point identifier.
 type Network struct {
+	overlay.Core[Node]
 	cfg Config
-	tr  simnet.Transport
 	// succStride is the row width of the packed successor-list array
 	// (cfg.SuccListLen after defaulting).
 	succStride int
-	// multi records that the transport accepted a bulk registration:
-	// one handler serves every node this network hosts and joins and
-	// crashes cost no per-node transport bookkeeping. Without it the
-	// network falls back to one registered closure per node.
-	multi bool
-
-	mu sync.RWMutex
-	st arena
-	// members is the sorted live membership, maintained incrementally:
-	// join/crash installs a fresh copy with the id spliced in or out
-	// (copy-on-write) and bumps epoch. The slice itself is immutable, so
-	// Members hands it out with no per-call copy and holders keep a
-	// consistent snapshot across later churn.
-	members []ring.Point
-	// memberSlots is the aligned slot snapshot: memberSlots[i] is the
-	// arena slot of members[i]. Maintained copy-on-write in lockstep
-	// with members, it is the ID-to-index half of the bridge that
-	// replaces the old map[ring.Point]*Node.
-	memberSlots []uint32
-	epoch       uint64
+	st         routing
 
 	// stores holds per-slot key/value items (primaries + replicas),
 	// keyed by slot. Most nodes store nothing, so a side map beats a
@@ -91,119 +74,44 @@ func NewNetwork(cfg Config, tr simnet.Transport) *Network {
 	cfg = cfg.withDefaults()
 	n := &Network{
 		cfg:        cfg,
-		tr:         tr,
 		succStride: cfg.SuccListLen,
 		stores:     make(map[uint32]map[ring.Point][]byte),
 	}
-	n.st.overflow = make(map[ring.Point]uint32)
-	if mr, ok := tr.(simnet.MultiRegistrar); ok {
-		if err := mr.RegisterMulti(n.ownsID, n.dispatchAny); err == nil {
-			n.multi = true
-		}
-	}
+	n.Init(tr, overlay.Spec[Node]{
+		Name:        "chord",
+		ErrExists:   ErrNodeExists,
+		ErrNotFound: ErrNodeNotFound,
+		Handle:      func(s uint32) Node { return Node{net: n, slot: s} },
+		Serve:       n.handleRPC,
+		Grow:        n.growRouting,
+		Reset:       n.resetRouting,
+		Mark:        n.markRouting,
+		Release:     n.dropStore,
+		Router: overlay.Router{
+			Resolve:   n.Lookup,
+			Successor: n.Successor,
+			Neighbors: func(id ring.Point) ([]ring.Point, error) {
+				nd, err := n.Node(id)
+				if err != nil {
+					return nil, err
+				}
+				return nd.Neighbors(), nil
+			},
+		},
+	})
 	return n
-}
-
-// ownsID reports whether this network currently hosts a live node with
-// the given transport id; the transport's bulk-registration path
-// consults it in place of a per-node handler table.
-func (n *Network) ownsID(id simnet.NodeID) bool {
-	_, ok := n.liveSlot(ring.Point(id))
-	return ok
-}
-
-// dispatchAny routes a bulk-registered RPC to its destination slot.
-// Crashed nodes remain resolvable through the overflow map until
-// scavenged, so an in-flight RPC that won the transport's liveness
-// check still reaches the node's frozen state, exactly as a registered
-// handler used to keep answering until deregistration took effect.
-func (n *Network) dispatchAny(to, from simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
-	s, ok := n.slotOf(ring.Point(to))
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", simnet.ErrUnknownNode, to)
-	}
-	return n.handleRPC(s, from, msg)
-}
-
-// idHandler returns the per-node registration closure for transports
-// without bulk registration. It captures the identifier, never the
-// slot: the slot is resolved per call, so slot recycling cannot
-// misroute a stale registration.
-func (n *Network) idHandler(id ring.Point) simnet.Handler {
-	return func(from simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
-		s, ok := n.slotOf(id)
-		if !ok {
-			return nil, fmt.Errorf("%w: %d", simnet.ErrUnknownNode, simnet.NodeID(id))
-		}
-		return n.handleRPC(s, from, msg)
-	}
-}
-
-// Transport returns the underlying transport (for meters and faults).
-func (n *Network) Transport() simnet.Transport { return n.tr }
-
-// Meter returns the transport's cost meter.
-func (n *Network) Meter() *simnet.Meter { return n.tr.Meter() }
-
-// Node returns the node with the given id. The returned handle points
-// into the arena's preconstructed handle table, so the call allocates
-// nothing.
-func (n *Network) Node(id ring.Point) (*Node, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if rank, ok := ring.Rank(n.members, id); ok {
-		if s := n.memberSlots[rank]; n.st.alive[s] {
-			return &n.st.handles[s], nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %v", ErrNodeNotFound, id)
-}
-
-// Members returns the ids of all live nodes in sorted order. The
-// returned slice is a shared immutable snapshot — callers must not
-// modify it. Join/crash never re-sorts and never invalidates: each
-// installs a fresh spliced copy (copy-on-write), so a held snapshot
-// stays internally consistent across later churn and a call here is a
-// read-locked pointer fetch even at n = 10^6 under sustained churn.
-func (n *Network) Members() []ring.Point {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.members
-}
-
-// Epoch returns the membership epoch: it increments on every join and
-// crash, so two equal readings around a Members call certify the
-// snapshot is current (the epoch-snapshot pairing the race tests
-// exercise).
-func (n *Network) Epoch() uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.epoch
-}
-
-// NumAlive returns the number of live nodes. The membership snapshot
-// holds exactly the live nodes (Crash removes before marking dead), so
-// this is the snapshot length.
-func (n *Network) NumAlive() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.members)
 }
 
 // Create starts the first node of a fresh ring.
 func (n *Network) Create(id ring.Point) (*Node, error) {
-	nd, err := n.addNode(id)
-	if err != nil {
-		return nil, err
-	}
-	return nd, nil
+	return n.AddNode(id)
 }
 
 // Join adds a node to the ring through the existing node via, per the
 // Chord join protocol: resolve the new node's successor with a lookup,
 // adopt its successor list, and let stabilization integrate the rest.
 func (n *Network) Join(id, via ring.Point) (*Node, error) {
-	if _, ok := n.liveSlot(id); ok {
+	if _, ok := n.LiveSlot(id); ok {
 		return nil, fmt.Errorf("%w: %v", ErrNodeExists, id)
 	}
 	succ, err := n.Lookup(via, id)
@@ -215,14 +123,14 @@ func (n *Network) Join(id, via ring.Point) (*Node, error) {
 
 // JoinVia adds a locally hosted node to a ring whose bootstrap contact
 // may live on another process: the successor is resolved by routing
-// through bootstrap over the transport (LookupVia) instead of
+// through bootstrap over the transport (lookupVia) instead of
 // initiating at a local node. It is the join path wire-transport
 // daemons use.
 func (n *Network) JoinVia(id, bootstrap ring.Point) (*Node, error) {
-	if _, ok := n.liveSlot(id); ok {
+	if _, ok := n.LiveSlot(id); ok {
 		return nil, fmt.Errorf("%w: %v", ErrNodeExists, id)
 	}
-	succ, err := n.LookupVia(id, bootstrap, id)
+	succ, err := n.lookupVia(id, bootstrap, id)
 	if err != nil {
 		return nil, fmt.Errorf("chord: join of %v via remote %v: %w", id, bootstrap, err)
 	}
@@ -232,103 +140,23 @@ func (n *Network) JoinVia(id, bootstrap ring.Point) (*Node, error) {
 // finishJoin integrates a freshly resolved joiner below its successor:
 // register the node, adopt the successor's list, and announce.
 func (n *Network) finishJoin(id, succ ring.Point) (*Node, error) {
-	nd, err := n.addNode(id)
+	nd, err := n.AddNode(id)
 	if err != nil {
 		return nil, err
 	}
 	var tail []ring.Point
-	if resp, err := n.call(id, succ, succListReq{}); err == nil {
+	if resp, err := n.Call(id, succ, succListReq{}); err == nil {
 		tail = resp.(succListResp).List
 	}
 	nd.setSuccessors(succ, tail)
 	// Announce ourselves; the successor adopts us as predecessor if we
 	// are closer than its current one.
-	if _, err := n.call(id, succ, notifyReq{Candidate: id}); err != nil {
+	if _, err := n.Call(id, succ, notifyReq{Candidate: id}); err != nil {
 		// The successor crashed between lookup and notify; stabilization
 		// will repair via the successor list.
 		nd.advanceSuccessor(succ)
 	}
 	return nd, nil
-}
-
-// Crash removes a node abruptly: it leaves the live membership and
-// every new RPC to it fails until other nodes route around it via
-// successor lists and stabilization. Its slot parks in the overflow map
-// (state frozen, still answering RPCs already in flight) until the
-// scavenger recycles it.
-func (n *Network) Crash(id ring.Point) error {
-	n.mu.Lock()
-	rank, ok := ring.Rank(n.members, id)
-	var s uint32
-	if ok {
-		s = n.memberSlots[rank]
-		if !n.st.alive[s] {
-			ok = false // partitioned build: the member is hosted elsewhere
-		}
-	}
-	if ok {
-		n.members = ring.RemoveSorted(n.members, id)
-		n.memberSlots = spliceOut(n.memberSlots, rank)
-		n.st.alive[s] = false
-		n.st.overflow[id] = s
-		n.st.reclaimable++
-		n.epoch++
-	}
-	n.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrNodeNotFound, id)
-	}
-	if !n.multi {
-		n.tr.Deregister(simnet.NodeID(id))
-	}
-	return nil
-}
-
-// addNode allocates (or recycles) a slot for id, registers it on the
-// transport when per-node registration is in use, and splices it into
-// the live membership.
-func (n *Network) addNode(id ring.Point) (*Node, error) {
-	if !n.multi {
-		// Register before taking the network lock, as always: the
-		// transport may consult its own locks, and registration order
-		// is observable to concurrent callers.
-		if err := n.tr.Register(simnet.NodeID(id), n.idHandler(id)); err != nil {
-			return nil, fmt.Errorf("chord: registering node %v: %w", id, err)
-		}
-	}
-	n.mu.Lock()
-	rank, found := ring.Rank(n.members, id)
-	if found {
-		n.mu.Unlock()
-		if !n.multi {
-			n.tr.Deregister(simnet.NodeID(id))
-		}
-		return nil, fmt.Errorf("%w: %v", ErrNodeExists, id)
-	}
-	s, ok := n.st.overflow[id]
-	if ok {
-		// The id had a zombie or external slot: reclaim it for the
-		// rejoining node with fresh baseline state.
-		delete(n.st.overflow, id)
-		if n.st.reclaimable > 0 {
-			n.st.reclaimable--
-		}
-		n.resetSlotLocked(s, id)
-	} else {
-		s = n.newSlotLocked(id)
-	}
-	n.st.alive[s] = true
-	n.members = spliceIn(n.members, rank, id)
-	n.memberSlots = spliceIn(n.memberSlots, rank, s)
-	n.epoch++
-	nd := &n.st.handles[s]
-	n.mu.Unlock()
-	return nd, nil
-}
-
-// call performs one RPC through the transport.
-func (n *Network) call(from, to ring.Point, msg simnet.Message) (simnet.Message, error) {
-	return n.tr.Call(simnet.NodeID(from), simnet.NodeID(to), msg)
 }
 
 // Lookup resolves the successor of key, initiated at node from, using
@@ -348,13 +176,13 @@ func (n *Network) Lookup(from, key ring.Point) (ring.Point, error) {
 	return n.route(initiator, from, key, initiator.handleNextHop(nextHopReq{Key: key}))
 }
 
-// LookupVia resolves the successor of key by routing through start,
+// lookupVia resolves the successor of key by routing through start,
 // which may be hosted on another process: the first routing step is an
 // RPC to start instead of a local table read, so no local node is
 // required. from identifies the caller on the transport; it need not
 // be registered anywhere (a joiner uses its own id).
-func (n *Network) LookupVia(from, start, key ring.Point) (ring.Point, error) {
-	raw, err := n.call(from, start, nextHopReq{Key: key})
+func (n *Network) lookupVia(from, start, key ring.Point) (ring.Point, error) {
+	raw, err := n.Call(from, start, nextHopReq{Key: key})
 	if err != nil {
 		return 0, fmt.Errorf("%w: bootstrap %v unreachable: %v", ErrLookupAborted, start, err)
 	}
@@ -382,7 +210,7 @@ func (n *Network) route(initiator *Node, from, key ring.Point, resp *nextHopResp
 		putNextHopResp(resp)
 		next := 0
 		for {
-			raw, err := n.call(from, cur, req)
+			raw, err := n.Call(from, cur, req)
 			if err == nil {
 				resp = raw.(*nextHopResp)
 				break
@@ -407,7 +235,7 @@ func (n *Network) route(initiator *Node, from, key ring.Point, resp *nextHopResp
 // Successor returns the immediate successor of node id by asking it (one
 // RPC), which is the paper's next(p) primitive.
 func (n *Network) Successor(from, of ring.Point) (ring.Point, error) {
-	raw, err := n.call(from, of, getSuccessorReq{})
+	raw, err := n.Call(from, of, getSuccessorReq{})
 	if err != nil {
 		return 0, fmt.Errorf("chord: successor of %v: %w", of, err)
 	}
@@ -434,7 +262,7 @@ func (n *Network) StabilizeNode(id ring.Point) error {
 			}
 		}
 	}
-	raw, err := n.call(id, succ, getPredecessorReq{})
+	raw, err := n.Call(id, succ, getPredecessorReq{})
 	if err != nil {
 		nd.advanceSuccessor(succ)
 		nd.invalidateFingersTo(succ)
@@ -444,19 +272,19 @@ func (n *Network) StabilizeNode(id ring.Point) error {
 	putPointResp(raw.(*pointResp))
 	if pr.Has && betweenExcl(id, succ, pr.P) {
 		// The successor knows a node between us: adopt it if reachable.
-		if _, err := n.call(id, pr.P, pingReq{}); err == nil {
+		if _, err := n.Call(id, pr.P, pingReq{}); err == nil {
 			succ = pr.P
 		}
 	}
 	var tail []ring.Point
-	if raw, err := n.call(id, succ, succListReq{}); err == nil {
+	if raw, err := n.Call(id, succ, succListReq{}); err == nil {
 		tail = raw.(succListResp).List
 	} else {
 		nd.advanceSuccessor(succ)
 		return nil
 	}
 	nd.setSuccessors(succ, tail)
-	if _, err := n.call(id, succ, notifyReq{Candidate: id}); err != nil {
+	if _, err := n.Call(id, succ, notifyReq{Candidate: id}); err != nil {
 		nd.advanceSuccessor(succ)
 	}
 	return nil
@@ -473,7 +301,7 @@ func (n *Network) FixFinger(id ring.Point) error {
 		return err
 	}
 	a := &n.st
-	st := a.stripe(nd.slot)
+	st := n.Stripe(nd.slot)
 	st.Lock()
 	k := int(a.nextFix[nd.slot])
 	a.nextFix[nd.slot] = uint8((k + 1) % idBits)
@@ -496,7 +324,7 @@ func (n *Network) CheckPredecessor(id ring.Point) error {
 	if !has {
 		return nil
 	}
-	if _, err := n.call(id, pred, pingReq{}); err != nil {
+	if _, err := n.Call(id, pred, pingReq{}); err != nil {
 		nd.clearPredecessor()
 	}
 	return nil
@@ -527,16 +355,15 @@ func (n *Network) RunMaintenance(rounds, fingersPerRound int) {
 // function of network state; with the sorted snapshot that is the first
 // entry not equal to id, an O(1) read.
 func (n *Network) anyOtherNode(id ring.Point) (ring.Point, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if len(n.members) == 0 {
+	members := n.Members()
+	if len(members) == 0 {
 		return 0, false
 	}
-	if n.members[0] != id {
-		return n.members[0], true
+	if members[0] != id {
+		return members[0], true
 	}
-	if len(n.members) > 1 {
-		return n.members[1], true
+	if len(members) > 1 {
+		return members[1], true
 	}
 	return 0, false
 }
@@ -576,36 +403,10 @@ func BuildStaticPartition(cfg Config, tr simnet.Transport, points []ring.Point, 
 		return nil, fmt.Errorf("chord: building static ring: %w", err)
 	}
 	n := NewNetwork(cfg, tr)
-	sorted := r.Points()
-	size := len(sorted)
-	// Single-threaded sizing and slot assignment: no locks needed until
-	// the network is published.
-	n.growLocked(size)
-	a := &n.st
-	a.used = size
-	n.memberSlots = make([]uint32, size)
-	ownedIdx := make([]int, 0, size)
-	for i, id := range sorted {
-		s := uint32(i)
-		n.memberSlots[i] = s
-		a.ids[s] = uint64(id)
-		a.preds[s] = noSlot
-		a.succLen[s] = 1
-		a.succs[i*n.succStride] = s
-		a.handles[s] = Node{net: n, slot: s}
-		if owned != nil && !owned(id) {
-			continue
-		}
-		a.alive[s] = true
-		if !n.multi {
-			if err := tr.Register(simnet.NodeID(id), n.idHandler(id)); err != nil {
-				return nil, fmt.Errorf("chord: registering node %v: %w", id, err)
-			}
-		}
-		ownedIdx = append(ownedIdx, i)
+	ownedIdx, err := n.InstallStatic(r.Points(), owned)
+	if err != nil {
+		return nil, err
 	}
-	n.members = sorted
-	n.epoch++
 	parallel.Shards(len(ownedIdx), parallel.Workers(len(ownedIdx)), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			n.fillStaticSlot(r, ownedIdx[j])

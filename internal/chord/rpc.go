@@ -7,7 +7,7 @@
 // It is the "standard DHT" substrate assumed by King & Saia's paper: it
 // provides h (a routed lookup costing O(log n) sequential RPCs) and next
 // (one successor pointer chase) with real message counts, via the
-// dht.DHT adapter in this package.
+// shared overlay.DHT adapter (AsDHT).
 package chord
 
 import (
@@ -18,8 +18,8 @@ import (
 
 // RPC request and response payloads. Handlers are strictly local: they
 // read or mutate the destination node's state and never issue nested
-// RPCs, which keeps every transport (including the goroutine-per-node
-// one) deadlock-free.
+// RPCs, so no handler holds a lock across a call or waits on another
+// node's handler.
 
 // nextHopReq asks a node for the next step in resolving Key.
 type nextHopReq struct {

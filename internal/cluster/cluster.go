@@ -15,6 +15,7 @@ import (
 	"github.com/dht-sampling/randompeer/internal/chord"
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/kademlia"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
 	"github.com/dht-sampling/randompeer/internal/wire"
@@ -408,29 +409,25 @@ func (c *Cluster) Provision(backend string, points []ring.Point) (dht.DHT, error
 		client.SetRoute(simnet.NodeID(p), ownerAddr[p])
 	}
 	isLocal := func(p ring.Point) bool { return p == local }
-	var view dht.DHT
+	var net interface {
+		AsDHT(ring.Point) (*overlay.DHT, error)
+	}
+	var err error
 	switch backend {
 	case "chord":
-		net, err := chord.BuildStaticPartition(chord.Config{}, client, points, isLocal)
-		if err == nil {
-			view, err = net.AsDHT(local)
-		}
-		if err != nil {
-			_ = client.Close()
-			return nil, err
-		}
+		net, err = chord.BuildStaticPartition(chord.Config{}, client, points, isLocal)
 	case "kademlia":
-		net, err := kademlia.BuildStaticPartition(kademlia.Config{}, client, points, isLocal)
-		if err == nil {
-			view, err = net.AsDHT(local)
-		}
-		if err != nil {
-			_ = client.Close()
-			return nil, err
-		}
+		net, err = kademlia.BuildStaticPartition(kademlia.Config{}, client, points, isLocal)
 	default:
+		err = fmt.Errorf("cluster: unknown backend %q", backend)
+	}
+	var view *overlay.DHT
+	if err == nil {
+		view, err = net.AsDHT(local)
+	}
+	if err != nil {
 		_ = client.Close()
-		return nil, fmt.Errorf("cluster: unknown backend %q", backend)
+		return nil, err
 	}
 	c.client = client
 	c.backend = backend

@@ -7,6 +7,7 @@
 package dhttest
 
 import (
+	"errors"
 	"math/rand/v2"
 	"testing"
 
@@ -30,6 +31,7 @@ func Run(t *testing.T, name string, mk Factory) {
 	t.Run(name+"/NextCostO1", func(t *testing.T) { checkNextCostO1(t, mk) })
 	t.Run(name+"/HChargesLookupCost", func(t *testing.T) { checkHCost(t, mk) })
 	t.Run(name+"/OwnerStability", func(t *testing.T) { checkOwnerStability(t, mk) })
+	t.Run(name+"/NextUnknownPeerFails", func(t *testing.T) { checkNextUnknown(t, mk) })
 }
 
 // build creates a DHT over n random points and returns it with the
@@ -276,5 +278,26 @@ func checkSize(t *testing.T, mk Factory) {
 	}
 	if d.Owners() > d.Size() {
 		t.Fatalf("Owners %d exceeds Size %d", d.Owners(), d.Size())
+	}
+}
+
+// NonMember returns a point on r's circle that no peer occupies: just
+// clockwise of peer 0, or of the first peer with a free neighbour.
+func NonMember(r *ring.Ring) ring.Point {
+	for i := 0; ; i++ {
+		if p := r.At(i) + 1; r.IndexOf(p) < 0 {
+			return p
+		}
+	}
+}
+
+// checkNextUnknown verifies the contract for next on a point no peer
+// occupies: an error matching dht.ErrUnknownPeer, never a peer.
+func checkNextUnknown(t *testing.T, mk Factory) {
+	d, r := build(t, mk, 1019, 16)
+	x := NonMember(r)
+	p, err := d.Next(dht.Peer{Point: x, Owner: -1})
+	if !errors.Is(err, dht.ErrUnknownPeer) {
+		t.Fatalf("Next(non-member %v) = (%+v, %v), want dht.ErrUnknownPeer", x, p, err)
 	}
 }

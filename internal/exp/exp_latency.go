@@ -11,10 +11,11 @@ import (
 	"github.com/dht-sampling/randompeer/internal/chord"
 	"github.com/dht-sampling/randompeer/internal/churn"
 	"github.com/dht-sampling/randompeer/internal/core"
-	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/kademlia"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
+	"github.com/dht-sampling/randompeer/internal/simnet"
 	"github.com/dht-sampling/randompeer/internal/stats"
 )
 
@@ -166,13 +167,35 @@ func expE25() Experiment {
 	}
 }
 
-// churnDHT is the slice of a backend adapter E26 needs: the abstract
-// DHT model plus the caller identity and owner-index refresh for
-// post-churn tallying. Both chord.DHT and kademlia.DHT satisfy it.
-type churnDHT interface {
-	dht.DHT
-	Self() dht.Peer
-	RefreshOwners()
+// buildChurnOverlay builds the named overlay statically over points
+// on tr and returns it wrapped for the churn driver, with its DHT view
+// from points[0].
+func buildChurnOverlay(backend string, tr simnet.Transport, points []ring.Point) (churn.Overlay, *overlay.DHT, error) {
+	var ov churn.Overlay
+	var net interface {
+		AsDHT(ring.Point) (*overlay.DHT, error)
+	}
+	switch backend {
+	case "chord":
+		c, err := chord.BuildStatic(chord.Config{}, tr, points)
+		if err != nil {
+			return nil, nil, err
+		}
+		ov, net = churn.Chord(c), c
+	case "kademlia":
+		k, err := kademlia.BuildStatic(kademlia.Config{}, tr, points)
+		if err != nil {
+			return nil, nil, err
+		}
+		ov, net = churn.Kademlia(k), k
+	default:
+		return nil, nil, fmt.Errorf("exp: unknown overlay backend %q", backend)
+	}
+	d, err := net.AsDHT(points[0])
+	if err != nil {
+		return nil, nil, err
+	}
+	return ov, d, nil
 }
 
 // expE26 measures sampling under asynchronous churn: joins, crashes and
@@ -205,38 +228,11 @@ func expE26() Experiment {
 				n, events, postSamples = 48, 20, 20
 				gaps = gaps[:2]
 			}
-			type substrate struct {
-				name  string
-				build func(tr *sim.Transport, points []ring.Point) (churn.Overlay, churnDHT, error)
-			}
-			substrates := []substrate{
-				{"chord", func(tr *sim.Transport, points []ring.Point) (churn.Overlay, churnDHT, error) {
-					net, err := chord.BuildStatic(chord.Config{}, tr, points)
-					if err != nil {
-						return nil, nil, err
-					}
-					d, err := net.AsDHT(points[0])
-					if err != nil {
-						return nil, nil, err
-					}
-					return churn.Chord(net), d, nil
-				}},
-				{"kademlia", func(tr *sim.Transport, points []ring.Point) (churn.Overlay, churnDHT, error) {
-					net, err := kademlia.BuildStatic(kademlia.Config{}, tr, points)
-					if err != nil {
-						return nil, nil, err
-					}
-					d, err := net.AsDHT(points[0])
-					if err != nil {
-						return nil, nil, err
-					}
-					return churn.Kademlia(net), d, nil
-				}},
-			}
+			backends := []string{"chord", "kademlia"}
 			type result struct{ cells []string }
-			results := make([]result, len(substrates)*len(gaps))
+			results := make([]result, len(backends)*len(gaps))
 			err = forEach(cfg.workerCount(), len(results), func(idx int) error {
-				sub := substrates[idx/len(gaps)]
+				backend := backends[idx/len(gaps)]
 				gap := gaps[idx%len(gaps)]
 				seed := cfg.Seed ^ 0x26 ^ uint64(gap)
 				rng := rand.New(rand.NewPCG(seed, seed+1))
@@ -250,7 +246,7 @@ func expE26() Experiment {
 					sim.WithModel(model),
 					sim.WithStreamSeed(seed+2),
 				)
-				ov, d, err := sub.build(tr, r.Points())
+				ov, d, err := buildChurnOverlay(backend, tr, r.Points())
 				if err != nil {
 					return err
 				}
@@ -325,7 +321,7 @@ func expE26() Experiment {
 					return err
 				}
 				results[idx] = result{cells: []string{
-					sub.name,
+					backend,
 					fmtF(float64(gap) / float64(time.Millisecond)),
 					fmtI(len(run.Events)),
 					fmtI(run.StepErrors),

@@ -65,31 +65,9 @@ func RunScaleScenario(backend string, n, events, probes int, gap time.Duration, 
 		sim.WithStreamSeed(seed+2),
 	)
 	buildStart := time.Now()
-	var ov churn.Overlay
-	var d churnDHT
-	switch backend {
-	case "chord":
-		net, err := chord.BuildStatic(chord.Config{}, tr, r.Points())
-		if err != nil {
-			return nil, err
-		}
-		dd, err := net.AsDHT(r.At(0))
-		if err != nil {
-			return nil, err
-		}
-		ov, d = churn.Chord(net), dd
-	case "kademlia":
-		net, err := kademlia.BuildStatic(kademlia.Config{}, tr, r.Points())
-		if err != nil {
-			return nil, err
-		}
-		dd, err := net.AsDHT(r.At(0))
-		if err != nil {
-			return nil, err
-		}
-		ov, d = churn.Kademlia(net), dd
-	default:
-		return nil, fmt.Errorf("exp: unknown scale backend %q", backend)
+	ov, d, err := buildChurnOverlay(backend, tr, r.Points())
+	if err != nil {
+		return nil, err
 	}
 	buildWall := time.Since(buildStart)
 	caller := r.At(0)

@@ -4,65 +4,29 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/dht-sampling/randompeer/internal/ring"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 )
 
-// Flat index-based node storage, the Kademlia counterpart of the arena
-// in internal/chord (see the long comment there for the full design).
+// routing is kademlia's half of the flat slot arena (see overlay.Core
+// for the arena, its bridge and its locking). Ring pointers are single
+// packed uint32 slot references; the k-buckets live in a shared region
+// pool: one region per non-empty bucket holding a length header, up to
+// k entry slots and a small replacement cache, all as uint32 slot
+// references in large contiguous chunks. No per-bucket []Point slices —
+// a 2^21-node overlay is a few hundred large allocations instead of
+// hundreds of millions of small ones.
 //
-// Every node the network knows about — live members, crashed members
-// whose state in-flight RPCs may still read, and external contacts
-// learned over the wire — occupies one dense uint32 slot in a
-// struct-of-arrays arena. Ring pointers are single packed uint32 slot
-// references; the k-buckets live in a shared region pool: one region
-// per non-empty bucket holding a length header, up to k entry slots
-// and a small replacement cache, all as uint32 slot references in
-// large contiguous chunks. No per-node heap objects, no
-// map[Point]*Node, no per-bucket []Point slices — a 2^21-node overlay
-// is a few hundred large allocations instead of hundreds of millions
-// of small ones.
-//
-// The ID↔slot bridge is the copy-on-write sorted membership snapshot
-// (Network.members) plus an aligned slot snapshot (Network.memberSlots)
-// resolved by binary search; non-member slots (zombies and external
-// contacts) resolve through a small overflow map.
-//
-// Locking mirrors chord: striped RWMutexes guard per-slot routing
-// state (ring pointers and the slot's bucket regions), network.mu
-// guards membership, the bridge, slot allocation and the alive flags,
-// and lock order is network.mu before stripe. Slot identifiers are
-// read and written atomically so translating a slot reference found in
-// another node's buckets needs no cross-stripe locking. The region
+// The per-slot arrays are guarded by the core's stripes. The region
 // pool has its own leaf mutex (regionMu) ordered after the stripes:
 // allocation only ever appends a chunk (copy-on-write of the chunk
 // index, loaded atomically by readers), so region data never moves.
-type arena struct {
-	stripes [numStripes]sync.RWMutex
-
-	// used is the number of allocated slots. Every per-slot array has
-	// len == cap spanning the arena capacity, so growth (which swaps
-	// the backing arrays under all stripes) is the only operation that
-	// ever changes a slice header.
-	used int
-
-	ids   []uint64 // slot -> identifier; atomic access
-	alive []bool   // slot hosts a live local member (network.mu)
-
+type routing struct {
 	succs []uint32 // ring successor slot (self when alone)
 	preds []uint32 // ring predecessor slot (self when alone)
 	// bucketRefs holds each slot's k-bucket region references, stride
 	// idBits. noRegion (zero, so freshly grown arrays are valid) marks
 	// a bucket with no region yet.
 	bucketRefs []uint32
-
-	handles []Node // preconstructed public handles, one per slot
-
-	free     []uint32 // recycled slots ready for reuse (LIFO)
-	freeBits []uint64 // bitset marking slots currently on free
-	overflow map[ring.Point]uint32
-	// reclaimable counts dead (zombie or external) slots not yet on
-	// the free list; it triggers the mark-and-sweep scavenger.
-	reclaimable int
 
 	// Region pool. Regions live in fixed-size chunks so they never
 	// move: chunks is the copy-on-write chunk index (append-only,
@@ -76,9 +40,6 @@ type arena struct {
 }
 
 const (
-	numStripes = 256
-	stripeMask = numStripes - 1
-	noSlot     = ^uint32(0)
 	// noRegion marks an empty bucket. It is zero so the zero-value
 	// bucketRefs rows produced by arena growth are already correct.
 	noRegion = 0
@@ -89,272 +50,63 @@ const (
 	regionBatch = 256
 )
 
-// stripe returns the lock guarding slot s's routing state.
-func (a *arena) stripe(s uint32) *sync.RWMutex { return &a.stripes[s&stripeMask] }
-
-// id returns slot s's identifier. Callers must hold a stripe or the
-// network mutex (either mode) to pin the backing array; the element
-// itself is read atomically, so s may belong to any stripe.
-func (a *arena) id(s uint32) ring.Point {
-	return ring.Point(atomic.LoadUint64(&a.ids[s]))
-}
-
-// lockAllStripes acquires every stripe in index order.
-func (a *arena) lockAllStripes() {
-	for i := range a.stripes {
-		a.stripes[i].Lock()
-	}
-}
-
-// unlockAllStripes releases every stripe.
-func (a *arena) unlockAllStripes() {
-	for i := range a.stripes {
-		a.stripes[i].Unlock()
-	}
-}
-
-// growLocked reallocates every per-slot array to the new capacity,
-// copying the used prefix. Callers must hold network.mu plus every
-// stripe, except during single-threaded construction.
-func (n *Network) growLocked(capacity int) {
+// growRouting reallocates every per-slot routing array to the new
+// capacity (overlay.Spec.Grow).
+func (n *Network) growRouting(capacity int) {
 	a := &n.st
-	if capacity <= cap(a.ids) {
-		return
-	}
-	a.ids = growCopy(a.ids, capacity)
-	a.alive = growCopy(a.alive, capacity)
-	a.succs = growCopy(a.succs, capacity)
-	a.preds = growCopy(a.preds, capacity)
-	a.bucketRefs = growCopy(a.bucketRefs, capacity*idBits)
-	a.freeBits = growCopy(a.freeBits, (capacity+63)/64)
-	handles := make([]Node, capacity)
-	copy(handles, a.handles)
-	a.handles = handles
+	a.succs = overlay.GrowCopy(a.succs, capacity)
+	a.preds = overlay.GrowCopy(a.preds, capacity)
+	a.bucketRefs = overlay.GrowCopy(a.bucketRefs, capacity*idBits)
 }
 
-// growCopy returns a full-length slice of the new capacity holding a
-// copy of src.
-func growCopy[T any](src []T, capacity int) []T {
-	dst := make([]T, capacity)
-	copy(dst, src)
-	return dst
+// resetRouting writes slot s's fresh-node baseline, ring pointers to
+// self (overlay.Spec.Reset). Its buckets are already empty: the core
+// releases a slot's regions before resetting it.
+func (n *Network) resetRouting(s uint32) {
+	n.st.succs[s] = s
+	n.st.preds[s] = s
 }
 
-// lookupLocked resolves an id to its slot: members bridge first, then
-// the overflow map. Caller holds network.mu (either mode).
-func (n *Network) lookupLocked(id ring.Point) (uint32, bool) {
-	if rank, ok := ring.Rank(n.members, id); ok {
-		return n.memberSlots[rank], true
-	}
-	s, ok := n.st.overflow[id]
-	return s, ok
-}
-
-// intern resolves id to a slot, allocating an external slot when the
-// id has never been seen. On the steady-state path (id is a member)
-// this is one binary search under a read lock and allocates nothing.
-// Callers must not hold any stripe (lock order: mu before stripe).
-func (n *Network) intern(id ring.Point) uint32 {
-	n.mu.RLock()
-	s, ok := n.lookupLocked(id)
-	n.mu.RUnlock()
-	if ok {
-		return s
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if s, ok := n.lookupLocked(id); ok {
-		return s
-	}
-	s = n.newSlotLocked(id)
-	n.st.overflow[id] = s
-	n.st.reclaimable++ // external slots are reclaimable once unreferenced
-	return s
-}
-
-// slotOf resolves an id without allocating; the second result is false
-// for ids the network has never seen (or whose slot was scavenged).
-func (n *Network) slotOf(id ring.Point) (uint32, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.lookupLocked(id)
-}
-
-// liveSlot resolves an id to the slot of a live locally-hosted member.
-func (n *Network) liveSlot(id ring.Point) (uint32, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	rank, ok := ring.Rank(n.members, id)
-	if !ok {
-		return 0, false
-	}
-	s := n.memberSlots[rank]
-	return s, n.st.alive[s]
-}
-
-// newSlotLocked allocates a slot for id and resets its routing state
-// to the fresh-node baseline. Caller holds network.mu; the new slot is
-// not yet live and not yet in any bridge structure.
-func (n *Network) newSlotLocked(id ring.Point) uint32 {
+// markRouting marks the slots live slot s references: its ring
+// pointers and every bucket entry and replacement-cache contact
+// (overlay.Spec.Mark).
+func (n *Network) markRouting(s uint32, marks overlay.Bits) {
 	a := &n.st
-	if len(a.free) == 0 && a.reclaimable >= scavengeThreshold(a.used) {
-		n.scavengeLocked()
-	}
-	var s uint32
-	if len(a.free) > 0 {
-		s = a.free[len(a.free)-1]
-		a.free = a.free[:len(a.free)-1]
-		a.freeBits[s/64] &^= 1 << (s % 64)
-	} else {
-		if a.used == cap(a.ids) {
-			next := a.used * 2
-			if next < 16 {
-				next = 16
-			}
-			a.lockAllStripes()
-			n.growLocked(next)
-			a.unlockAllStripes()
-		}
-		s = uint32(a.used)
-		a.used++
-	}
-	n.resetSlotLocked(s, id)
-	return s
-}
-
-// resetSlotLocked rewrites slot s to the fresh-node baseline for id:
-// ring pointers to self, empty buckets (existing regions return to the
-// pool). Caller holds network.mu; the slot must not be referenced by
-// any live node.
-func (n *Network) resetSlotLocked(s uint32, id ring.Point) {
-	a := &n.st
-	st := a.stripe(s)
-	st.Lock()
-	atomic.StoreUint64(&a.ids[s], uint64(id))
-	a.succs[s] = s
-	a.preds[s] = s
-	n.freeRegionRow(s)
-	a.handles[s] = Node{net: n, slot: s}
-	st.Unlock()
-}
-
-// scavengeThreshold is the dead-slot count that triggers a sweep.
-func scavengeThreshold(used int) int {
-	if t := used / 8; t > 64 {
-		return t
-	}
-	return 64
-}
-
-// scavengeLocked frees every dead slot no live member references: it
-// marks the slots reachable from the membership bridge and every live
-// node's ring pointers and bucket regions (entries and replacement
-// caches), then moves unmarked dead slots to the free list (LIFO, so
-// reuse order is deterministic), returns their regions to the pool and
-// drops their overflow entries. Caller holds network.mu.
-func (n *Network) scavengeLocked() int {
-	a := &n.st
-	a.lockAllStripes()
-	defer a.unlockAllStripes()
-	marks := make([]uint64, (a.used+63)/64)
-	mark := func(s uint32) { marks[s/64] |= 1 << (s % 64) }
-	for _, s := range n.memberSlots {
-		mark(s)
-	}
-	for _, s := range n.memberSlots {
-		if !a.alive[s] {
-			continue // remote members of a partitioned build hold no local state
-		}
-		mark(a.succs[s])
-		mark(a.preds[s])
-		row := a.bucketRefs[int(s)*idBits : int(s)*idBits+idBits]
-		for _, ref := range row {
-			if ref == noRegion {
-				continue
-			}
-			reg := n.region(ref)
-			for _, c := range regEntries(reg) {
-				mark(c)
-			}
-			for _, c := range regCache(reg, n.cfg.BucketSize) {
-				mark(c)
-			}
-		}
-	}
-	freed := 0
-	for s := uint32(0); int(s) < a.used; s++ {
-		if a.alive[s] || marks[s/64]&(1<<(s%64)) != 0 || a.freeBits[s/64]&(1<<(s%64)) != 0 {
+	marks.Set(a.succs[s])
+	marks.Set(a.preds[s])
+	for _, ref := range a.bucketRefs[int(s)*idBits : int(s)*idBits+idBits] {
+		if ref == noRegion {
 			continue
 		}
-		a.free = append(a.free, s)
-		a.freeBits[s/64] |= 1 << (s % 64)
-		n.freeRegionRow(s)
-		freed++
-	}
-	if freed > 0 {
-		for id, s := range a.overflow {
-			if a.freeBits[s/64]&(1<<(s%64)) != 0 {
-				delete(a.overflow, id)
-			}
+		reg := n.region(ref)
+		for _, c := range regEntries(reg) {
+			marks.Set(c)
+		}
+		for _, c := range regCache(reg, n.cfg.BucketSize) {
+			marks.Set(c)
 		}
 	}
-	a.reclaimable -= freed
-	if a.reclaimable < 0 {
-		a.reclaimable = 0
-	}
-	return freed
 }
 
-// Scavenge forces one slot-recycling sweep and reports how many dead
-// slots were freed for reuse. The network runs sweeps automatically
-// once enough reclaimable slots accumulate; tests and operators use
-// this to observe recycling deterministically.
-func (n *Network) Scavenge() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.scavengeLocked()
-}
-
-// StorageStats reports the flat storage layout's occupancy.
+// StorageStats reports the flat storage layout's occupancy: the slot
+// arena's plus the bucket region pool's.
 type StorageStats struct {
-	// Slots is the arena size: every node ever seen occupies one slot
-	// until scavenged.
-	Slots int
-	// Live is the number of slots hosting live locally-hosted members.
-	Live int
-	// Free is the number of recycled slots awaiting reuse.
-	Free int
-	// Reclaimable is the number of dead slots not yet recycled (they
-	// free once no live node's routing state references them).
-	Reclaimable int
+	overlay.StorageStats
 	// Regions is the number of bucket regions ever allocated from the
 	// pool; FreeRegions of them are recycled and awaiting reuse.
 	Regions     int
 	FreeRegions int
 }
 
-// StorageStats returns the current slot-arena occupancy.
+// StorageStats returns the current slot-arena and region-pool
+// occupancy.
 func (n *Network) StorageStats() StorageStats {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	live := 0
-	for _, s := range n.memberSlots {
-		if n.st.alive[s] {
-			live++
-		}
-	}
+	st := StorageStats{StorageStats: n.Core.StorageStats()}
 	n.st.regionMu.Lock()
-	regions := int(n.st.nextRegion)
-	freeRegions := len(n.st.regionFree)
+	st.Regions = int(n.st.nextRegion)
+	st.FreeRegions = len(n.st.regionFree)
 	n.st.regionMu.Unlock()
-	return StorageStats{
-		Slots:       n.st.used,
-		Live:        live,
-		Free:        len(n.st.free),
-		Reclaimable: n.st.reclaimable,
-		Regions:     regions,
-		FreeRegions: freeRegions,
-	}
+	return st
 }
 
 // region returns the backing words of a region reference (1-based;
@@ -477,23 +229,4 @@ func (rb *regionBatcher) release() {
 	}
 	rb.n.releaseRegions(refs)
 	rb.next, rb.end = 0, 0
-}
-
-// spliceIn returns a copy of s with v inserted at index i
-// (copy-on-write, the aligned-snapshot counterpart of
-// ring.InsertSorted).
-func spliceIn[T any](s []T, i int, v T) []T {
-	out := make([]T, len(s)+1)
-	copy(out, s[:i])
-	out[i] = v
-	copy(out[i+1:], s[i:])
-	return out
-}
-
-// spliceOut returns a copy of s with index i removed (copy-on-write).
-func spliceOut[T any](s []T, i int) []T {
-	out := make([]T, len(s)-1)
-	copy(out, s[:i])
-	copy(out[i:], s[i+1:])
-	return out
 }

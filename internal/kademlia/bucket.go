@@ -130,12 +130,11 @@ func (n *Network) bucketRefFor(s uint32, b int) []uint32 {
 // passive maintenance). The contact is interned first — lock order:
 // network.mu before stripe.
 func (n *Network) touchContact(s uint32, id ring.Point) {
-	cs := n.intern(id)
-	a := &n.st
-	st := a.stripe(s)
+	cs := n.Intern(id)
+	st := n.Stripe(s)
 	st.Lock()
 	defer st.Unlock()
-	d := xorDist(a.id(s), id)
+	d := xorDist(n.ID(s), id)
 	if d == 0 {
 		return
 	}
@@ -146,15 +145,15 @@ func (n *Network) touchContact(s uint32, id ring.Point) {
 // network has no slot for cannot be in any bucket (buckets hold slot
 // references), so the miss is a no-op.
 func (n *Network) removeContact(s uint32, id ring.Point) {
-	cs, ok := n.slotOf(id)
+	cs, ok := n.SlotOf(id)
 	if !ok {
 		return
 	}
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.Lock()
 	defer st.Unlock()
-	d := xorDist(a.id(s), id)
+	d := xorDist(n.ID(s), id)
 	if d == 0 {
 		return
 	}
@@ -166,9 +165,8 @@ func (n *Network) removeContact(s uint32, id ring.Point) {
 // markAliveContact confirms bucket b's entry id answered a ping: it
 // moves to the tail, deferring its eviction.
 func (n *Network) markAliveContact(s uint32, b int, id ring.Point) {
-	cs := n.intern(id) // before the stripe: intern takes network.mu
-	a := &n.st
-	st := a.stripe(s)
+	cs := n.Intern(id) // before the stripe: intern takes network.mu
+	st := n.Stripe(s)
 	st.Lock()
 	defer st.Unlock()
 	regTouch(n.bucketRefFor(s, b), n.cfg.BucketSize, cs)
@@ -177,7 +175,7 @@ func (n *Network) markAliveContact(s uint32, b int, id ring.Point) {
 // promoteBucket fills bucket b of slot s from its replacement cache.
 func (n *Network) promoteBucket(s uint32, b int) {
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.Lock()
 	defer st.Unlock()
 	if ref := a.bucketRefs[int(s)*idBits+b]; ref != noRegion {
@@ -199,16 +197,16 @@ func (n *Network) closestIntoSlot(s uint32, best []ring.Point, target ring.Point
 		return best
 	}
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.RLock()
-	self := a.id(s)
+	self := n.ID(s)
 	row := a.bucketRefs[int(s)*idBits : int(s)*idBits+idBits]
 	for _, ref := range row {
 		if ref == noRegion {
 			continue
 		}
 		for _, c := range regEntries(n.region(ref)) {
-			best = insertClosest(best, target, count, a.id(c))
+			best = insertClosest(best, target, count, n.ID(c))
 		}
 	}
 	st.RUnlock()
@@ -251,7 +249,7 @@ func insertClosest(best []ring.Point, target ring.Point, count int, id ring.Poin
 // translated to identifiers (LRU first).
 func (n *Network) entriesOfSlot(s uint32, b int) []ring.Point {
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.RLock()
 	defer st.RUnlock()
 	ref := a.bucketRefs[int(s)*idBits+b]
@@ -261,7 +259,7 @@ func (n *Network) entriesOfSlot(s uint32, b int) []ring.Point {
 	ents := regEntries(n.region(ref))
 	out := make([]ring.Point, len(ents))
 	for i, c := range ents {
-		out[i] = a.id(c)
+		out[i] = n.ID(c)
 	}
 	return out
 }
@@ -269,7 +267,7 @@ func (n *Network) entriesOfSlot(s uint32, b int) []ring.Point {
 // tableSizeOf returns slot s's total live entry count.
 func (n *Network) tableSizeOf(s uint32) int {
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.RLock()
 	defer st.RUnlock()
 	total := 0
@@ -286,7 +284,7 @@ func (n *Network) tableSizeOf(s uint32) int {
 // contactsOf returns every live entry across slot s's buckets.
 func (n *Network) contactsOf(s uint32) []ring.Point {
 	a := &n.st
-	st := a.stripe(s)
+	st := n.Stripe(s)
 	st.RLock()
 	defer st.RUnlock()
 	out := make([]ring.Point, 0, idBits)
@@ -296,7 +294,7 @@ func (n *Network) contactsOf(s uint32) []ring.Point {
 			continue
 		}
 		for _, c := range regEntries(n.region(ref)) {
-			out = append(out, a.id(c))
+			out = append(out, n.ID(c))
 		}
 	}
 	return out

@@ -1,6 +1,8 @@
 package kademlia_test
 
 import (
+	"errors"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -95,4 +97,31 @@ func TestKademliaConformanceSmallK(t *testing.T) {
 		}
 		return net.AsDHT(points[0])
 	})
+}
+
+// TestKademliaNextUnknownPeerClass checks that next on a point no peer
+// occupies fails with both the DHT contract's dht.ErrUnknownPeer and
+// the transport's "unknown" error class, so failure accounting files it
+// as an unknown destination rather than an application error.
+func TestKademliaNextUnknownPeerClass(t *testing.T) {
+	t.Parallel()
+	r, err := ring.Generate(rand.New(rand.NewPCG(61, 62)), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := kademlia.BuildStatic(kademlia.Config{}, simnet.NewDirect(), r.Points())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := net.AsDHT(r.At(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.Next(dht.Peer{Point: dhttest.NonMember(r), Owner: -1})
+	if !errors.Is(err, dht.ErrUnknownPeer) {
+		t.Errorf("err = %v, want dht.ErrUnknownPeer", err)
+	}
+	if got := simnet.ErrorClass(err); got != "unknown" {
+		t.Errorf("ErrorClass = %q, want \"unknown\" (err = %v)", got, err)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/parallel"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/simnet"
@@ -42,35 +43,18 @@ func (c Config) withDefaults() Config {
 }
 
 // Network is a collection of Kademlia nodes sharing one simulated
-// transport. All per-node state lives in a flat slot arena (see
-// arena.go); nodes are addressed internally by dense uint32 slot and
-// externally by ring.Point identifier.
+// transport. The embedded overlay.Core holds the slot arena, the
+// membership and the transport binding; kademlia's ring pointers and
+// bucket regions live beside it in st (see arena.go). Nodes are
+// addressed internally by dense uint32 slot and externally by
+// ring.Point identifier.
 type Network struct {
+	overlay.Core[Node]
 	cfg Config
-	tr  simnet.Transport
 	// regStride is the word width of one bucket region: a header word,
 	// BucketSize entry slots and the replacement cache.
 	regStride int
-	// multi records that the transport accepted a bulk registration:
-	// one handler serves every node this network hosts and joins and
-	// crashes cost no per-node transport bookkeeping. Without it the
-	// network falls back to one registered closure per node.
-	multi bool
-
-	mu sync.RWMutex
-	st arena
-	// members is the sorted live membership, maintained incrementally:
-	// join/crash installs a fresh copy with the id spliced in or out
-	// (copy-on-write) and bumps epoch. The slice itself is immutable, so
-	// Members hands it out with no per-call copy and holders keep a
-	// consistent snapshot across later churn.
-	members []ring.Point
-	// memberSlots is the aligned slot snapshot: memberSlots[i] is the
-	// arena slot of members[i]. Maintained copy-on-write in lockstep
-	// with members, it is the ID-to-index half of the bridge that
-	// replaces the old map[ring.Point]*Node.
-	memberSlots []uint32
-	epoch       uint64
+	st        routing
 }
 
 // Kademlia error conditions.
@@ -86,159 +70,44 @@ func NewNetwork(cfg Config, tr simnet.Transport) *Network {
 	cfg = cfg.withDefaults()
 	n := &Network{
 		cfg:       cfg,
-		tr:        tr,
 		regStride: 1 + cfg.BucketSize + replacementCacheLen,
 	}
-	n.st.overflow = make(map[ring.Point]uint32)
 	empty := make([][]uint32, 0)
 	n.st.chunks.Store(&empty)
-	if mr, ok := tr.(simnet.MultiRegistrar); ok {
-		if err := mr.RegisterMulti(n.ownsID, n.dispatchAny); err == nil {
-			n.multi = true
-		}
-	}
+	n.Init(tr, overlay.Spec[Node]{
+		Name:        "kademlia",
+		ErrExists:   ErrNodeExists,
+		ErrNotFound: ErrNodeNotFound,
+		Handle:      func(s uint32) Node { return Node{net: n, slot: s} },
+		Serve:       n.handleRPC,
+		Grow:        n.growRouting,
+		Reset:       n.resetRouting,
+		Mark:        n.markRouting,
+		Release:     n.freeRegionRow,
+		Router: overlay.Router{
+			Resolve: func(from, x ring.Point) (ring.Point, error) {
+				owner, _, err := n.ResolveOwner(from, x)
+				return owner, err
+			},
+			Successor: n.Successor,
+			Neighbors: func(id ring.Point) ([]ring.Point, error) {
+				nd, err := n.Node(id)
+				if err != nil {
+					return nil, err
+				}
+				return nd.Contacts(), nil
+			},
+		},
+	})
 	return n
-}
-
-// ownsID reports whether this network currently hosts a live node with
-// the given transport id; the transport's bulk-registration path
-// consults it in place of a per-node handler table.
-func (n *Network) ownsID(id simnet.NodeID) bool {
-	_, ok := n.liveSlot(ring.Point(id))
-	return ok
-}
-
-// dispatchAny routes a bulk-registered RPC to its destination slot.
-// Crashed nodes remain resolvable through the overflow map until
-// scavenged, so an in-flight RPC that won the transport's liveness
-// check still reaches the node's frozen state, exactly as a registered
-// handler used to keep answering until deregistration took effect.
-func (n *Network) dispatchAny(to, from simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
-	s, ok := n.slotOf(ring.Point(to))
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", simnet.ErrUnknownNode, to)
-	}
-	return n.handleRPC(s, from, msg)
-}
-
-// idHandler returns the per-node registration closure for transports
-// without bulk registration. It captures the identifier, never the
-// slot: the slot is resolved per call, so slot recycling cannot
-// misroute a stale registration.
-func (n *Network) idHandler(id ring.Point) simnet.Handler {
-	return func(from simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
-		s, ok := n.slotOf(id)
-		if !ok {
-			return nil, fmt.Errorf("%w: %d", simnet.ErrUnknownNode, simnet.NodeID(id))
-		}
-		return n.handleRPC(s, from, msg)
-	}
 }
 
 // Config returns the network's effective (defaulted) configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Transport returns the underlying transport (for meters and faults).
-func (n *Network) Transport() simnet.Transport { return n.tr }
-
-// Meter returns the transport's cost meter.
-func (n *Network) Meter() *simnet.Meter { return n.tr.Meter() }
-
-// Node returns the node with the given id. The returned handle points
-// into the arena's preconstructed handle table, so the call allocates
-// nothing.
-func (n *Network) Node(id ring.Point) (*Node, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if rank, ok := ring.Rank(n.members, id); ok {
-		if s := n.memberSlots[rank]; n.st.alive[s] {
-			return &n.st.handles[s], nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %v", ErrNodeNotFound, id)
-}
-
-// Members returns the ids of all live nodes in sorted order. The
-// returned slice is a shared immutable snapshot — callers must not
-// modify it. Join/crash never re-sorts and never invalidates: each
-// installs a fresh spliced copy (copy-on-write), so a held snapshot
-// stays internally consistent across later churn and a call here is a
-// read-locked pointer fetch even at n = 10^6 under sustained churn.
-func (n *Network) Members() []ring.Point {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.members
-}
-
-// Epoch returns the membership epoch: it increments on every join and
-// crash, so two equal readings around a Members call certify the
-// snapshot is current (the epoch-snapshot pairing the race tests
-// exercise).
-func (n *Network) Epoch() uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.epoch
-}
-
-// NumAlive returns the number of live nodes. The membership snapshot
-// holds exactly the live nodes (Crash removes before marking dead), so
-// this is the snapshot length.
-func (n *Network) NumAlive() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.members)
-}
-
-// addNode allocates (or recycles) a slot for id, registers it on the
-// transport when per-node registration is in use, and splices it into
-// the live membership.
-func (n *Network) addNode(id ring.Point) (*Node, error) {
-	if !n.multi {
-		// Register before taking the network lock, as always: the
-		// transport may consult its own locks, and registration order
-		// is observable to concurrent callers.
-		if err := n.tr.Register(simnet.NodeID(id), n.idHandler(id)); err != nil {
-			return nil, fmt.Errorf("kademlia: registering node %v: %w", id, err)
-		}
-	}
-	n.mu.Lock()
-	rank, found := ring.Rank(n.members, id)
-	if found {
-		n.mu.Unlock()
-		if !n.multi {
-			n.tr.Deregister(simnet.NodeID(id))
-		}
-		return nil, fmt.Errorf("%w: %v", ErrNodeExists, id)
-	}
-	s, ok := n.st.overflow[id]
-	if ok {
-		// The id had a zombie or external slot: reclaim it for the
-		// rejoining node with fresh baseline state.
-		delete(n.st.overflow, id)
-		if n.st.reclaimable > 0 {
-			n.st.reclaimable--
-		}
-		n.resetSlotLocked(s, id)
-	} else {
-		s = n.newSlotLocked(id)
-	}
-	n.st.alive[s] = true
-	n.members = spliceIn(n.members, rank, id)
-	n.memberSlots = spliceIn(n.memberSlots, rank, s)
-	n.epoch++
-	nd := &n.st.handles[s]
-	n.mu.Unlock()
-	return nd, nil
-}
-
-// call performs one RPC through the transport.
-func (n *Network) call(from, to ring.Point, msg simnet.Message) (simnet.Message, error) {
-	return n.tr.Call(simnet.NodeID(from), simnet.NodeID(to), msg)
-}
-
 // Create starts the first node of a fresh network.
 func (n *Network) Create(id ring.Point) (*Node, error) {
-	return n.addNode(id)
+	return n.AddNode(id)
 }
 
 // Join adds a node through the existing node via, per the Kademlia join
@@ -260,10 +129,10 @@ func (n *Network) Join(id, via ring.Point) (*Node, error) {
 // RPC, which the wire transport routes across processes. It is the
 // join path wire-transport daemons use.
 func (n *Network) JoinVia(id, via ring.Point) (*Node, error) {
-	if _, ok := n.liveSlot(id); ok {
+	if _, ok := n.LiveSlot(id); ok {
 		return nil, fmt.Errorf("%w: %v", ErrNodeExists, id)
 	}
-	nd, err := n.addNode(id)
+	nd, err := n.AddNode(id)
 	if err != nil {
 		return nil, err
 	}
@@ -285,60 +154,28 @@ func (n *Network) JoinVia(id, via ring.Point) (*Node, error) {
 	if err != nil {
 		return fail("resolving successor", err)
 	}
-	raw, err := n.call(id, succ, getPredecessorReq{})
+	raw, err := n.Call(id, succ, getPredecessorReq{})
 	if err != nil {
 		return fail(fmt.Sprintf("predecessor of %v", succ), err)
 	}
 	pred := raw.(*pointResp).P
 	putPointResp(raw.(*pointResp))
-	if _, err := n.call(id, succ, spliceReq{Pred: id, HasPred: true}); err != nil {
+	if _, err := n.Call(id, succ, spliceReq{Pred: id, HasPred: true}); err != nil {
 		return fail(fmt.Sprintf("splicing %v", succ), err)
 	}
 	if pred != succ {
-		if _, err := n.call(id, pred, spliceReq{Succ: id, HasSucc: true}); err != nil {
+		if _, err := n.Call(id, pred, spliceReq{Succ: id, HasSucc: true}); err != nil {
 			return fail(fmt.Sprintf("splicing %v", pred), err)
 		}
 	} else {
 		// Two-node ring: the single existing node is both successor and
 		// predecessor; its succ pointer must also come to the joiner.
-		if _, err := n.call(id, succ, spliceReq{Succ: id, HasSucc: true}); err != nil {
+		if _, err := n.Call(id, succ, spliceReq{Succ: id, HasSucc: true}); err != nil {
 			return fail(fmt.Sprintf("splicing %v", succ), err)
 		}
 	}
 	nd.setRing(succ, pred)
 	return nd, nil
-}
-
-// Crash removes a node abruptly: it leaves the live membership and
-// every new RPC to it fails until maintenance routes around it. Its
-// slot parks in the overflow map (state frozen, still answering RPCs
-// already in flight) until the scavenger recycles it.
-func (n *Network) Crash(id ring.Point) error {
-	n.mu.Lock()
-	rank, ok := ring.Rank(n.members, id)
-	var s uint32
-	if ok {
-		s = n.memberSlots[rank]
-		if !n.st.alive[s] {
-			ok = false // partitioned build: the member is hosted elsewhere
-		}
-	}
-	if ok {
-		n.members = ring.RemoveSorted(n.members, id)
-		n.memberSlots = spliceOut(n.memberSlots, rank)
-		n.st.alive[s] = false
-		n.st.overflow[id] = s
-		n.st.reclaimable++
-		n.epoch++
-	}
-	n.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrNodeNotFound, id)
-	}
-	if !n.multi {
-		n.tr.Deregister(simnet.NodeID(id))
-	}
-	return nil
 }
 
 // LookupResult reports one iterative FIND_NODE lookup.
@@ -447,7 +284,7 @@ func (n *Network) FindClosest(from, target ring.Point) (LookupResult, error) {
 		}
 		res.Rounds++
 		for _, id := range ls.wave {
-			raw, err := n.call(from, id, req)
+			raw, err := n.Call(from, id, req)
 			res.RPCs++
 			if err != nil {
 				state[id] = stateFailed
@@ -485,7 +322,7 @@ func (n *Network) FindClosest(from, target ring.Point) (LookupResult, error) {
 // Successor asks node "of" for its ring successor pointer (one RPC):
 // the paper's next(p) primitive.
 func (n *Network) Successor(from, of ring.Point) (ring.Point, error) {
-	raw, err := n.call(from, of, getSuccessorReq{})
+	raw, err := n.Call(from, of, getSuccessorReq{})
 	if err != nil {
 		return 0, fmt.Errorf("kademlia: successor of %v: %w", of, err)
 	}
@@ -497,7 +334,7 @@ func (n *Network) Successor(from, of ring.Point) (ring.Point, error) {
 
 // Predecessor asks node "of" for its ring predecessor pointer.
 func (n *Network) Predecessor(from, of ring.Point) (ring.Point, error) {
-	raw, err := n.call(from, of, getPredecessorReq{})
+	raw, err := n.Call(from, of, getPredecessorReq{})
 	if err != nil {
 		return 0, fmt.Errorf("kademlia: predecessor of %v: %w", of, err)
 	}
@@ -643,7 +480,7 @@ func (n *Network) RefreshNode(id ring.Point, refreshBucket int) error {
 		// dead entries are dropped, live ones move to the fresh end, and
 		// replacement-cache contacts are promoted into freed slots.
 		for _, e := range entries {
-			if _, err := n.call(id, e, pingReq{}); err != nil {
+			if _, err := n.Call(id, e, pingReq{}); err != nil {
 				n.removeContact(nd.slot, e)
 			} else {
 				n.markAliveContact(nd.slot, i, e)
@@ -668,12 +505,12 @@ func (n *Network) repairRing(nd *Node) error {
 	id := nd.ID()
 	succ := nd.Successor()
 	if succ != id {
-		if _, err := n.call(id, succ, pingReq{}); err == nil {
+		if _, err := n.Call(id, succ, pingReq{}); err == nil {
 			// Successor alive; reconcile with its predecessor pointer.
 			p, err := n.Predecessor(id, succ)
 			if err == nil && p != id {
 				alive := false
-				if _, err := n.call(id, p, pingReq{}); err == nil {
+				if _, err := n.Call(id, p, pingReq{}); err == nil {
 					alive = true
 				}
 				if alive && p != succ && betweenIncl(id, succ, p) {
@@ -684,13 +521,13 @@ func (n *Network) repairRing(nd *Node) error {
 					// tightening step the ring wedges permanently with
 					// the middle node invisible to its predecessor.
 					n.setSucc(nd.slot, p)
-					_, _ = n.call(id, p, spliceReq{Pred: id, HasPred: true})
+					_, _ = n.Call(id, p, spliceReq{Pred: id, HasPred: true})
 					return nil
 				}
 				if !alive || !betweenIncl(id, succ, p) {
 					// Its predecessor is dead or behind us: we are the
 					// rightful predecessor — re-assert.
-					_, _ = n.call(id, succ, spliceReq{Pred: id, HasPred: true})
+					_, _ = n.Call(id, succ, spliceReq{Pred: id, HasPred: true})
 				}
 			}
 			return nil
@@ -712,7 +549,7 @@ func (n *Network) repairRing(nd *Node) error {
 		if err != nil || p == best {
 			break
 		}
-		if _, err := n.call(id, p, pingReq{}); err != nil {
+		if _, err := n.Call(id, p, pingReq{}); err != nil {
 			break // dead predecessor: best is the boundary
 		}
 		if !betweenIncl(id, best, p) || p == id {
@@ -721,7 +558,7 @@ func (n *Network) repairRing(nd *Node) error {
 		best = p
 	}
 	n.setSucc(nd.slot, best)
-	_, _ = n.call(id, best, spliceReq{Pred: id, HasPred: true})
+	_, _ = n.Call(id, best, spliceReq{Pred: id, HasPred: true})
 	return nil
 }
 
@@ -742,7 +579,7 @@ func (n *Network) bestLiveSuccessorCandidate(nd *Node) (ring.Point, bool) {
 		if found && cwDist(id, c) >= cwDist(id, best) {
 			continue
 		}
-		if _, err := n.call(id, c, pingReq{}); err != nil {
+		if _, err := n.Call(id, c, pingReq{}); err != nil {
 			n.removeContact(nd.slot, c)
 			continue
 		}
@@ -867,39 +704,10 @@ func BuildStaticPartition(cfg Config, tr simnet.Transport, points []ring.Point, 
 	}
 	n := NewNetwork(cfg, tr)
 	sorted := r.Points()
-	size := len(sorted)
-	// Single-threaded sizing and slot assignment: no locks needed until
-	// the network is published.
-	n.growLocked(size)
-	a := &n.st
-	a.used = size
-	n.memberSlots = make([]uint32, size)
-	ownedIdx := make([]int, 0, size)
-	single := size == 1
-	for i, id := range sorted {
-		s := uint32(i)
-		n.memberSlots[i] = s
-		a.ids[s] = uint64(id)
-		if single {
-			a.succs[s], a.preds[s] = s, s
-		} else {
-			a.succs[s] = uint32(r.NextIndex(i))
-			a.preds[s] = uint32(r.PrevIndex(i))
-		}
-		a.handles[s] = Node{net: n, slot: s}
-		if owned != nil && !owned(id) {
-			continue
-		}
-		a.alive[s] = true
-		if !n.multi {
-			if err := tr.Register(simnet.NodeID(id), n.idHandler(id)); err != nil {
-				return nil, fmt.Errorf("kademlia: registering node %v: %w", id, err)
-			}
-		}
-		ownedIdx = append(ownedIdx, i)
+	ownedIdx, err := n.InstallStatic(sorted, owned)
+	if err != nil {
+		return nil, err
 	}
-	n.members = sorted
-	n.epoch++
 	parallel.Shards(len(ownedIdx), parallel.Workers(len(ownedIdx)), func(lo, hi int) {
 		scratch := make([]uint32, 0, n.cfg.BucketSize)
 		rb := regionBatcher{n: n}
@@ -911,10 +719,10 @@ func BuildStaticPartition(cfg Config, tr simnet.Transport, points []ring.Point, 
 	return n, nil
 }
 
-// fillStaticSlot populates slot i's buckets (slot = ring rank, by
-// construction) with the k XOR-closest members of each distance
-// octave, farthest first so the closest contacts sit at the most-
-// recently-seen end — the same state the old full scan-and-sort fill
+// fillStaticSlot sets slot i's ring pointers (slot = ring rank, by
+// construction) and populates its buckets with the k XOR-closest
+// members of each distance octave, farthest first so the closest
+// contacts sit at the most-recently-seen end — the same state the old full scan-and-sort fill
 // produced, computed from the sorted membership instead: bucket b's
 // candidates form one contiguous value range (the aligned block
 // reached by flipping bit b of the node's id and clearing the bits
@@ -924,6 +732,10 @@ func BuildStaticPartition(cfg Config, tr simnet.Transport, points []ring.Point, 
 // the slot is owned exclusively by one worker and published by the
 // shard barrier, so no locks are taken.
 func (n *Network) fillStaticSlot(sorted []ring.Point, i int, scratch []uint32, rb *regionBatcher) []uint32 {
+	if size := len(sorted); size > 1 {
+		n.st.succs[i] = uint32((i + 1) % size)
+		n.st.preds[i] = uint32((i + size - 1) % size)
+	}
 	id := uint64(sorted[i])
 	k := n.cfg.BucketSize
 	row := n.st.bucketRefs[i*idBits : i*idBits+idBits]

@@ -9,11 +9,11 @@
 // independence claim: the paper's sampler needs only h (a routed
 // lookup) and next (one successor chase), so it must run unmodified
 // over a prefix-routing overlay whose metric is not the clockwise
-// circle. The dht.DHT adapter in this package resolves h by combining
+// circle. Through the shared overlay.DHT adapter (AsDHT), h combines
 // an iterative XOR lookup with each node's maintained ring pointers —
-// see adapter.go for the owner-resolution argument — and serves next
-// from the successor pointer in one RPC, with all costs charged on the
-// transport meter.
+// see ResolveOwner for the owner-resolution argument — and next is
+// served from the successor pointer in one RPC, with all costs charged
+// on the transport meter.
 package kademlia
 
 import (

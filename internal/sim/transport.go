@@ -40,14 +40,6 @@ type Transport struct {
 	// constRTT short-circuits constant models on the hot path: no
 	// uniform draw, no interface call. Zero means "not constant".
 	constRTT time.Duration
-	// shaped is true while any slowdown or link delay is installed;
-	// false keeps the constant-model fast path inlinable in Call.
-	shaped atomic.Bool
-
-	// slow and delay are copy-on-write so the hot path pays one atomic
-	// load when no slowdowns or link delays are installed.
-	slow  atomic.Pointer[map[simnet.NodeID]float64]
-	delay atomic.Pointer[map[[2]simnet.NodeID]time.Duration]
 
 	// trace, when armed, records one obs.Hop per Call. Disarmed it is
 	// one atomic pointer load on the hot path.
@@ -97,8 +89,8 @@ func WithKernel(k *Kernel) TransportOption {
 
 // WithFaults attaches a fault-injection plan (shared with the simnet
 // transports). Combine with Kernel.At to script time-based faults:
-// schedule a process that flips SetDead, SetDropRate, SetNodeSlowdown,
-// SetLinkDelay or Partition/Heal at chosen virtual times.
+// schedule a process that flips SetDead, SetDropRate or Partition/Heal
+// at chosen virtual times.
 func WithFaults(f *simnet.Faults) TransportOption {
 	return func(t *Transport) { t.faults = f }
 }
@@ -116,8 +108,8 @@ func NewTransport(opts ...TransportOption) *Transport {
 	if c, ok := t.model.(Constant); ok {
 		t.constRTT = c.RTT
 		// Arm the meter's constant-latency fast lane: successful calls
-		// under an unshaped constant model charge call count and latency
-		// record in one atomic add (see Meter.ChargeConstSuccess).
+		// under a constant model charge call count and latency record in
+		// one atomic add (see Meter.ChargeConstSuccess).
 		t.meter.ArmConstLatency(c.RTT)
 	}
 	return t
@@ -137,88 +129,11 @@ func (t *Transport) Now() time.Duration {
 // Model returns the transport's latency model.
 func (t *Transport) Model() Model { return t.model }
 
-// SetNodeSlowdown multiplies the latency of every RPC from or to id by
-// factor (factor 1 removes the slowdown). It models a struggling host —
-// schedule it from a timed kernel process to start or stop mid-run.
-func (t *Transport) SetNodeSlowdown(id simnet.NodeID, factor float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := t.slow.Load()
-	next := make(map[simnet.NodeID]float64)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	if factor == 1 {
-		delete(next, id)
-	} else {
-		next[id] = factor
-	}
-	if len(next) == 0 {
-		t.slow.Store(nil)
-	} else {
-		t.slow.Store(&next)
-	}
-	t.reshape()
-}
-
-// SetLinkDelay adds a fixed extra delay to every RPC on the directed
-// link from -> to (zero removes it). It models a congested or long
-// route between two specific peers.
-func (t *Transport) SetLinkDelay(from, to simnet.NodeID, extra time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := t.delay.Load()
-	next := make(map[[2]simnet.NodeID]time.Duration)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	key := [2]simnet.NodeID{from, to}
-	if extra == 0 {
-		delete(next, key)
-	} else {
-		next[key] = extra
-	}
-	if len(next) == 0 {
-		t.delay.Store(nil)
-	} else {
-		t.delay.Store(&next)
-	}
-	t.reshape()
-}
-
-// reshape refreshes the fast-path flag after a slowdown or delay
-// change (caller holds t.mu).
-func (t *Transport) reshape() {
-	t.shaped.Store(t.slow.Load() != nil || t.delay.Load() != nil)
-}
-
-// latencySlow draws from the model and applies slowdowns and delays.
-// Call bypasses it for unshaped constant models — the per-RPC hot path
-// of every simulated-time benchmark.
-func (t *Transport) latencySlow(from, to simnet.NodeID) time.Duration {
-	var d time.Duration
-	if t.constRTT != 0 {
-		d = t.constRTT
-	} else {
-		d = t.model.Latency(from, to, t.stream.U01())
-	}
-	if m := t.slow.Load(); m != nil {
-		if f, ok := (*m)[from]; ok {
-			d = time.Duration(float64(d) * f)
-		}
-		if f, ok := (*m)[to]; ok {
-			d = time.Duration(float64(d) * f)
-		}
-	}
-	if m := t.delay.Load(); m != nil {
-		if extra, ok := (*m)[[2]simnet.NodeID{from, to}]; ok {
-			d += extra
-		}
-	}
+// latency draws one RPC's round trip from the model. Call bypasses it
+// for constant models — the per-RPC hot path of every simulated-time
+// benchmark.
+func (t *Transport) latency(from, to simnet.NodeID) time.Duration {
+	d := t.model.Latency(from, to, t.stream.U01())
 	if d < 0 {
 		d = 0
 	}
@@ -315,9 +230,9 @@ func (t *Transport) callTraced(tr *obs.Trace, from, to simnet.NodeID, msg simnet
 
 func (t *Transport) call(from, to simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
 	lat := t.constRTT
-	konst := lat != 0 && !t.shaped.Load()
+	konst := lat != 0
 	if !konst {
-		lat = t.latencySlow(from, to)
+		lat = t.latency(from, to)
 	}
 	if k := t.kernel; k != nil {
 		if err := k.Sleep(lat); err != nil {
@@ -326,7 +241,7 @@ func (t *Transport) call(from, to simnet.NodeID, msg simnet.Message) (simnet.Mes
 			return t.fail(from, to, lat, simnet.ErrClosed)
 		}
 	}
-	if err := t.faults.Check(from, to, msg); err != nil {
+	if err := t.faults.Check(from, to); err != nil {
 		return t.fail(from, to, lat, err)
 	}
 	t.mu.RLock()
@@ -364,8 +279,8 @@ func (t *Transport) call(from, to simnet.NodeID, msg simnet.Message) (simnet.Mes
 		return t.fail(from, to, lat, err)
 	}
 	if konst {
-		// Unshaped constant model: one atomic add covers the call count
-		// and the latency record — the same meter traffic Direct pays.
+		// Constant model: one atomic add covers the call count and the
+		// latency record — the same meter traffic Direct pays.
 		t.meter.ChargeConstSuccess()
 	} else {
 		t.meter.ChargeSuccess()

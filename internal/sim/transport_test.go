@@ -15,7 +15,7 @@ func echoHandler(_ simnet.NodeID, msg simnet.Message) (simnet.Message, error) {
 
 // TestTransportContract mirrors the simnet transport tests: the
 // virtual-clock transport must honor the same register/call/close
-// contract as Direct and Chan.
+// contract as Direct.
 func TestTransportContract(t *testing.T) {
 	t.Run("roundTrip", func(t *testing.T) {
 		tr := NewTransport()
@@ -167,49 +167,6 @@ func TestTransportCrashInFlightFailsCall(t *testing.T) {
 	k.Run()
 	if !errors.Is(callErr, simnet.ErrUnknownNode) {
 		t.Errorf("in-flight crash: err = %v, want ErrUnknownNode", callErr)
-	}
-}
-
-func TestTransportNodeSlowdownAndLinkDelay(t *testing.T) {
-	tr := NewTransport(WithModel(Constant{RTT: time.Millisecond}))
-	defer tr.Close()
-	if err := tr.Register(1, echoHandler); err != nil {
-		t.Fatal(err)
-	}
-	before := tr.Now()
-	if _, err := tr.Call(2, 1, "x"); err != nil {
-		t.Fatal(err)
-	}
-	if d := tr.Now() - before; d != time.Millisecond {
-		t.Fatalf("baseline latency = %v, want 1ms", d)
-	}
-	tr.SetNodeSlowdown(1, 4)
-	before = tr.Now()
-	if _, err := tr.Call(2, 1, "x"); err != nil {
-		t.Fatal(err)
-	}
-	if d := tr.Now() - before; d != 4*time.Millisecond {
-		t.Errorf("slowed latency = %v, want 4ms", d)
-	}
-	tr.SetNodeSlowdown(1, 1) // remove
-	tr.SetLinkDelay(2, 1, 7*time.Millisecond)
-	before = tr.Now()
-	if _, err := tr.Call(2, 1, "x"); err != nil {
-		t.Fatal(err)
-	}
-	if d := tr.Now() - before; d != 8*time.Millisecond {
-		t.Errorf("delayed latency = %v, want 8ms", d)
-	}
-	// The reverse direction is unaffected.
-	if err := tr.Register(2, echoHandler); err != nil {
-		t.Fatal(err)
-	}
-	before = tr.Now()
-	if _, err := tr.Call(1, 2, "x"); err != nil {
-		t.Fatal(err)
-	}
-	if d := tr.Now() - before; d != time.Millisecond {
-		t.Errorf("reverse-link latency = %v, want 1ms", d)
 	}
 }
 

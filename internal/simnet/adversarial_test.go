@@ -6,15 +6,14 @@ import (
 	"testing"
 )
 
-// This file covers the adversarial fault families — named partitions,
-// asymmetric per-link drops, message-class loss — and the Byzantine
-// interceptor hook on both in-process transports. The sim.Transport
+// This file covers the adversarial fault family — named partitions —
+// and the Byzantine interceptor hook on the in-process transport. The sim.Transport
 // equivalents (virtual time, heal events on the kernel) live in
 // internal/sim.
 
 func TestFaultsPartition(t *testing.T) {
 	t.Parallel()
-	for _, name := range []string{"direct", "chan"} {
+	for _, name := range []string{"direct"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -64,86 +63,26 @@ func TestFaultsPartitionsCompose(t *testing.T) {
 	faults := NewFaults(nil)
 	faults.Partition("a", []NodeID{1}, []NodeID{2})
 	faults.Partition("b", []NodeID{1}, []NodeID{3})
-	if err := faults.Check(1, 2, "x"); !errors.Is(err, ErrPartitioned) {
+	if err := faults.Check(1, 2); !errors.Is(err, ErrPartitioned) {
 		t.Errorf("partition a: %v", err)
 	}
-	if err := faults.Check(1, 3, "x"); !errors.Is(err, ErrPartitioned) {
+	if err := faults.Check(1, 3); !errors.Is(err, ErrPartitioned) {
 		t.Errorf("partition b: %v", err)
 	}
 	faults.Heal("a")
-	if err := faults.Check(1, 2, "x"); err != nil {
+	if err := faults.Check(1, 2); err != nil {
 		t.Errorf("after healing a: %v", err)
 	}
-	if err := faults.Check(1, 3, "x"); !errors.Is(err, ErrPartitioned) {
+	if err := faults.Check(1, 3); !errors.Is(err, ErrPartitioned) {
 		t.Errorf("b must survive healing a: %v", err)
 	}
 	// Replacing a partition by name drops its old groups.
 	faults.Partition("b", []NodeID{2}, []NodeID{3})
-	if err := faults.Check(1, 3, "x"); err != nil {
+	if err := faults.Check(1, 3); err != nil {
 		t.Errorf("after replacing b: %v", err)
 	}
-	if err := faults.Check(2, 3, "x"); !errors.Is(err, ErrPartitioned) {
+	if err := faults.Check(2, 3); !errors.Is(err, ErrPartitioned) {
 		t.Errorf("replaced b: %v", err)
-	}
-}
-
-// TestFaultsLinkDropAsymmetric: a per-link rule kills one direction of
-// one edge and nothing else.
-func TestFaultsLinkDropAsymmetric(t *testing.T) {
-	t.Parallel()
-	for _, name := range []string{"direct", "chan"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			faults := NewFaults(nil)
-			faults.SetLinkDropRate(1, 2, 1)
-			tr := faultTransports(faults)[name]
-			defer tr.Close()
-			for id := NodeID(1); id <= 3; id++ {
-				if err := tr.Register(id, echoHandler); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := tr.Call(1, 2, "x"); !errors.Is(err, ErrDropped) {
-				t.Errorf("1->2: err = %v, want ErrDropped", err)
-			}
-			if _, err := tr.Call(2, 1, "x"); err != nil {
-				t.Errorf("reverse direction 2->1: %v", err)
-			}
-			if _, err := tr.Call(1, 3, "x"); err != nil {
-				t.Errorf("other link 1->3: %v", err)
-			}
-			faults.SetLinkDropRate(1, 2, 0)
-			if _, err := tr.Call(1, 2, "x"); err != nil {
-				t.Errorf("after removing rule: %v", err)
-			}
-		})
-	}
-}
-
-type pingMsg struct{}
-type dataMsg struct{}
-
-// TestFaultsMessageClassDrop: class-targeted loss drops only the named
-// payload type.
-func TestFaultsMessageClassDrop(t *testing.T) {
-	t.Parallel()
-	faults := NewFaults(nil)
-	faults.SetMessageDropRate(MessageName(pingMsg{}), 1)
-	tr := NewDirect(WithFaults(faults))
-	defer tr.Close()
-	if err := tr.Register(1, echoHandler); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Call(2, 1, pingMsg{}); !errors.Is(err, ErrDropped) {
-		t.Errorf("targeted class: err = %v, want ErrDropped", err)
-	}
-	if _, err := tr.Call(2, 1, dataMsg{}); err != nil {
-		t.Errorf("other class: %v", err)
-	}
-	faults.SetMessageDropRate(MessageName(pingMsg{}), 0)
-	if _, err := tr.Call(2, 1, pingMsg{}); err != nil {
-		t.Errorf("after removing rule: %v", err)
 	}
 }
 
@@ -157,7 +96,6 @@ func TestInterceptorBothTransports(t *testing.T) {
 	}
 	for name, mk := range map[string]func() iTransport{
 		"direct": func() iTransport { return NewDirect() },
-		"chan":   func() iTransport { return NewChan() },
 	} {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {

@@ -155,7 +155,7 @@ func (d *Direct) call(from, to NodeID, msg Message) (Message, error) {
 		d.meter.ChargeFailure()
 		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, to)
 	}
-	if err := d.faults.Check(from, to, msg); err != nil {
+	if err := d.faults.Check(from, to); err != nil {
 		d.meter.ChargeFailure()
 		return nil, fmt.Errorf("call %d->%d: %w", from, to, err)
 	}

@@ -7,15 +7,13 @@ import (
 )
 
 // Faults injects failures into a transport. The zero value injects
-// nothing. A plan composes four fault families, checked in this order
+// nothing. A plan composes three fault families, checked in this order
 // for every RPC:
 //
 //  1. dead nodes (SetDead) — ErrNodeDead,
 //  2. named partitions (Partition/Heal) — ErrPartitioned when source and
 //     destination sit in different groups of any installed partition,
-//  3. targeted drops — per-link rates (SetLinkDropRate) and
-//     message-class rates (SetMessageDropRate) — ErrDropped,
-//  4. the global drop rate (SetDropRate) — ErrDropped.
+//  3. the drop rate (SetDropRate) — ErrDropped.
 //
 // All methods are safe for concurrent use. When no fault is installed,
 // Check costs one atomic load, so a plan can stay permanently attached
@@ -24,8 +22,6 @@ type Faults struct {
 	mu       sync.Mutex
 	dead     map[NodeID]bool
 	dropRate float64
-	linkDrop map[link]float64
-	msgDrop  map[string]float64
 	parts    map[string]partition
 	rng      *rand.Rand
 
@@ -33,9 +29,6 @@ type Faults struct {
 	// return before taking the mutex. Every mutator refreshes it.
 	active atomic.Bool
 }
-
-// link keys a directed edge for per-link drop rates.
-type link struct{ from, to NodeID }
 
 // partition maps each member node to its group index; nodes absent from
 // the map are not isolated by this partition.
@@ -52,8 +45,7 @@ func NewFaults(rng *rand.Rand) *Faults {
 
 // refresh recomputes the fast-path flag (caller holds f.mu).
 func (f *Faults) refresh() {
-	f.active.Store(len(f.dead) > 0 || f.dropRate > 0 ||
-		len(f.linkDrop) > 0 || len(f.msgDrop) > 0 || len(f.parts) > 0)
+	f.active.Store(len(f.dead) > 0 || f.dropRate > 0 || len(f.parts) > 0)
 }
 
 // SetDead marks a node dead or alive. RPCs to a dead node fail with
@@ -80,44 +72,6 @@ func (f *Faults) SetDropRate(rate float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.dropRate = clampRate(rate)
-	f.refresh()
-}
-
-// SetLinkDropRate sets the drop probability for the directed link
-// from -> to only; rate 0 removes the rule. Links are asymmetric:
-// dropping A->B at 1.0 leaves B->A untouched.
-func (f *Faults) SetLinkDropRate(from, to NodeID, rate float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	rate = clampRate(rate)
-	key := link{from, to}
-	if rate == 0 {
-		delete(f.linkDrop, key)
-	} else {
-		if f.linkDrop == nil {
-			f.linkDrop = make(map[link]float64)
-		}
-		f.linkDrop[key] = rate
-	}
-	f.refresh()
-}
-
-// SetMessageDropRate sets the drop probability for one message class,
-// named as MessageName names it (e.g. "chord.nextHopReq"); rate 0
-// removes the rule. Class rules let a plan censor one RPC type (say,
-// routing requests) while heartbeats flow untouched.
-func (f *Faults) SetMessageDropRate(class string, rate float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	rate = clampRate(rate)
-	if rate == 0 {
-		delete(f.msgDrop, class)
-	} else {
-		if f.msgDrop == nil {
-			f.msgDrop = make(map[string]float64)
-		}
-		f.msgDrop[class] = rate
-	}
 	f.refresh()
 }
 
@@ -176,11 +130,11 @@ func (f *Faults) partitioned(from, to NodeID) bool {
 }
 
 // Check returns the error the fault plan injects for an RPC from
-// "from" to "to" carrying msg, or nil to let it through. Transports
+// "from" to "to", or nil to let it through. Transports
 // call it once per RPC; it is exported so that transports outside this
 // package (internal/sim, tests) share the same fault plans. A nil or
 // empty plan costs one nil check plus one atomic load.
-func (f *Faults) Check(from, to NodeID, msg Message) error {
+func (f *Faults) Check(from, to NodeID) error {
 	if f == nil || !f.active.Load() {
 		return nil
 	}
@@ -191,12 +145,6 @@ func (f *Faults) Check(from, to NodeID, msg Message) error {
 	}
 	if len(f.parts) > 0 && f.partitioned(from, to) {
 		return ErrPartitioned
-	}
-	if len(f.linkDrop) > 0 && f.roll(f.linkDrop[link{from, to}]) {
-		return ErrDropped
-	}
-	if len(f.msgDrop) > 0 && f.roll(f.msgDrop[MessageName(msg)]) {
-		return ErrDropped
 	}
 	if f.roll(f.dropRate) {
 		return ErrDropped

@@ -7,20 +7,19 @@ import (
 )
 
 // This file covers every fault-injection error path — ErrNodeDead,
-// ErrDropped, ErrClosed — across both transports directly, rather than
+// ErrDropped, ErrClosed — on the transports directly, rather than
 // incidentally through the churn experiments.
 
 // faultTransports builds each transport kind wired to the given plan.
 func faultTransports(f *Faults) map[string]Transport {
 	return map[string]Transport{
 		"direct": NewDirect(WithFaults(f)),
-		"chan":   NewChan(WithChanFaults(f)),
 	}
 }
 
 func TestFaultsDeadNodeBothTransports(t *testing.T) {
 	t.Parallel()
-	for _, name := range []string{"direct", "chan"} {
+	for _, name := range []string{"direct"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -53,7 +52,7 @@ func TestFaultsDeadNodeBothTransports(t *testing.T) {
 
 func TestFaultsDropRateBothTransports(t *testing.T) {
 	t.Parallel()
-	for _, name := range []string{"direct", "chan"} {
+	for _, name := range []string{"direct"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -108,7 +107,7 @@ func TestFaultsDropRateNilRNG(t *testing.T) {
 		f.SetDropRate(0.5)
 		out := make([]bool, 64)
 		for i := range out {
-			out[i] = f.Check(1, 2, "x") != nil
+			out[i] = f.Check(1, 2) != nil
 		}
 		return out
 	}
@@ -132,18 +131,18 @@ func TestFaultsDropRateNilRNG(t *testing.T) {
 func TestFaultsCheckDirectly(t *testing.T) {
 	t.Parallel()
 	var nilPlan *Faults
-	if err := nilPlan.Check(0, 1, "x"); err != nil {
+	if err := nilPlan.Check(0, 1); err != nil {
 		t.Errorf("nil plan injected %v", err)
 	}
 	faults := NewFaults(nil)
-	if err := faults.Check(0, 1, "x"); err != nil {
+	if err := faults.Check(0, 1); err != nil {
 		t.Errorf("empty plan injected %v", err)
 	}
 	faults.SetDead(1, true)
-	if err := faults.Check(0, 1, "x"); !errors.Is(err, ErrNodeDead) {
+	if err := faults.Check(0, 1); !errors.Is(err, ErrNodeDead) {
 		t.Errorf("Check(dead) = %v, want ErrNodeDead", err)
 	}
-	if err := faults.Check(0, 2, "x"); err != nil {
+	if err := faults.Check(0, 2); err != nil {
 		t.Errorf("Check(other) = %v, want nil", err)
 	}
 }

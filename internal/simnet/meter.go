@@ -117,8 +117,8 @@ func (m *Meter) constLaneCount() int64 {
 // ChargeConstSuccess records one completed RPC of round-trip duration d
 // with a single atomic add. Arm it once, before the meter goes hot;
 // both lanes may be used side by side (a transport falls back to
-// ChargeSuccess+RecordLatency whenever a call's latency deviates from
-// the constant — shaped links, non-constant models, failures).
+// ChargeSuccess+RecordLatency for calls the fast lane cannot charge,
+// such as failures).
 func (m *Meter) ArmConstLatency(d time.Duration) {
 	if d < 0 {
 		d = 0

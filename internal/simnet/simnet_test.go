@@ -17,7 +17,6 @@ func echoHandler(_ NodeID, msg Message) (Message, error) {
 func newTransports() map[string]func() Transport {
 	return map[string]func() Transport{
 		"direct": func() Transport { return NewDirect() },
-		"chan":   func() Transport { return NewChan() },
 	}
 }
 
@@ -170,7 +169,7 @@ func TestFaultsDropRate(t *testing.T) {
 	t.Parallel()
 	faults := NewFaults(rand.New(rand.NewPCG(1, 1)))
 	faults.SetDropRate(0.5)
-	tr := NewChan(WithChanFaults(faults))
+	tr := NewDirect(WithFaults(faults))
 	defer tr.Close()
 	if err := tr.Register(1, echoHandler); err != nil {
 		t.Fatal(err)
@@ -223,63 +222,6 @@ func TestDirectConcurrentCalls(t *testing.T) {
 	}
 }
 
-func TestChanSerializesPerNode(t *testing.T) {
-	t.Parallel()
-	tr := NewChan()
-	defer tr.Close()
-	// A handler that is not internally synchronized: the transport's
-	// per-node serialization must protect it.
-	counter := 0
-	err := tr.Register(1, func(NodeID, Message) (Message, error) {
-		counter++
-		return counter, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	const calls = 200
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < calls; i++ {
-				if _, err := tr.Call(NodeID(100+w), 1, nil); err != nil {
-					t.Errorf("call: %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if counter != 4*calls {
-		t.Errorf("counter = %d, want %d (lost updates imply races)", counter, 4*calls)
-	}
-}
-
-func TestChanDeregisterDuringCalls(t *testing.T) {
-	t.Parallel()
-	tr := NewChan()
-	defer tr.Close()
-	if err := tr.Register(1, echoHandler); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			_, err := tr.Call(2, 1, i)
-			if err != nil && !errors.Is(err, ErrUnknownNode) {
-				t.Errorf("unexpected error: %v", err)
-				return
-			}
-		}
-	}()
-	tr.Deregister(1)
-	wg.Wait()
-}
-
 func TestMeterChargeAndReset(t *testing.T) {
 	t.Parallel()
 	var m Meter
@@ -315,17 +257,6 @@ func TestMeterConcurrentCharge(t *testing.T) {
 	c := m.Snapshot()
 	if c.Calls != 8000 || c.Messages != 16000 {
 		t.Errorf("concurrent charge lost updates: %+v", c)
-	}
-}
-
-func TestChanCloseIdempotent(t *testing.T) {
-	t.Parallel()
-	tr := NewChan()
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -345,7 +345,7 @@ func (t *Transport) call(from, to simnet.NodeID, msg simnet.Message, traceID uin
 	if closed {
 		return nil, false, 0, simnet.ErrClosed
 	}
-	if err := t.faults.Check(from, to, msg); err != nil {
+	if err := t.faults.Check(from, to); err != nil {
 		t.chargeFailure(err)
 		return nil, false, 0, fmt.Errorf("call %d->%d: %w", from, to, err)
 	}

@@ -12,6 +12,8 @@
 //   - internal/chord: a full Chord DHT over a simulated network.
 //   - internal/kademlia: a full Kademlia DHT (XOR metric, k-buckets,
 //     iterative FIND_NODE) proving the sampler's substrate independence.
+//   - internal/overlay: the slot arena, membership and dht.DHT adapter
+//     both overlays share.
 //   - internal/dht: the abstract (h, next) DHT model and an oracle
 //     backend for million-peer experiments.
 //   - internal/baseline: the naive, random-walk and virtual-node
@@ -42,6 +44,7 @@ import (
 	"github.com/dht-sampling/randompeer/internal/dht"
 	"github.com/dht-sampling/randompeer/internal/kademlia"
 	"github.com/dht-sampling/randompeer/internal/obs"
+	"github.com/dht-sampling/randompeer/internal/overlay"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
 	"github.com/dht-sampling/randompeer/internal/simnet"
@@ -160,11 +163,11 @@ type Testbed struct {
 	seed    uint64
 
 	oracle *dht.Oracle
-	net    *chord.Network
-	view   *chord.DHT
-	knet   *kademlia.Network
-	kview  *kademlia.DHT
-	r      *ring.Ring
+	// ov is the chord or kademlia network (nil for the oracle) and view
+	// its DHT adapter from peer 0.
+	ov   overlayNetwork
+	view *overlay.DHT
+	r    *ring.Ring
 
 	// faults is the always-attached fault plan of transport-backed
 	// backends (nil for the oracle). Empty plans cost one atomic load
@@ -274,12 +277,7 @@ func New(opts ...Option) (*Testbed, error) {
 		if err != nil {
 			return nil, fmt.Errorf("randompeer: building chord ring: %w", err)
 		}
-		view, err := net.AsDHT(r.At(0))
-		if err != nil {
-			return nil, err
-		}
-		tb.net = net
-		tb.view = view
+		tb.ov = net
 	case KademliaBackend:
 		net, err := kademlia.BuildStatic(kademlia.Config{
 			BucketSize: cfg.bucketSize,
@@ -288,16 +286,23 @@ func New(opts ...Option) (*Testbed, error) {
 		if err != nil {
 			return nil, fmt.Errorf("randompeer: building kademlia overlay: %w", err)
 		}
-		view, err := net.AsDHT(r.At(0))
-		if err != nil {
-			return nil, err
-		}
-		tb.knet = net
-		tb.kview = view
+		tb.ov = net
 	default:
 		return nil, fmt.Errorf("randompeer: unknown backend %d", cfg.backend)
 	}
+	if tb.ov != nil {
+		if tb.view, err = tb.ov.AsDHT(r.At(0)); err != nil {
+			return nil, err
+		}
+	}
 	return tb, nil
+}
+
+// overlayNetwork is what the facade uses of either overlay network.
+type overlayNetwork interface {
+	Members() []ring.Point
+	Transport() simnet.Transport
+	AsDHT(caller ring.Point) (*overlay.DHT, error)
 }
 
 // Size returns the number of peers.
@@ -332,14 +337,10 @@ func (tb *Testbed) Latency() LatencySnapshot { return tb.DHT().Meter().Latency()
 // DHT returns the testbed's DHT view (from peer 0 for the Chord and
 // Kademlia backends, which initiates all lookups).
 func (tb *Testbed) DHT() DHT {
-	switch tb.backend {
-	case ChordBackend:
+	if tb.view != nil {
 		return tb.view
-	case KademliaBackend:
-		return tb.kview
-	default:
-		return tb.oracle
 	}
+	return tb.oracle
 }
 
 // Peer returns the peer with the given owner index.
@@ -425,15 +426,10 @@ func (tb *Testbed) VerifyUniformity(nHat float64) (*Assignment, error) {
 // traceableTransport returns the testbed's transport as an
 // obs.Traceable, or an error for backends with no real transport.
 func (tb *Testbed) traceableTransport() (obs.Traceable, error) {
-	var t simnet.Transport
-	switch tb.backend {
-	case ChordBackend:
-		t = tb.net.Transport()
-	case KademliaBackend:
-		t = tb.knet.Transport()
-	default:
+	if tb.ov == nil {
 		return nil, fmt.Errorf("randompeer: tracing requires a transport-backed backend (chord or kademlia), not %s", tb.backend)
 	}
+	t := tb.ov.Transport()
 	tr, ok := t.(obs.Traceable)
 	if !ok {
 		return nil, fmt.Errorf("randompeer: transport %T does not support hop tracing", t)
@@ -468,11 +464,17 @@ func (tb *Testbed) TraceSample(s Sampler) (Peer, *Trace, error) {
 
 // ChordNetwork exposes the underlying Chord network for protocol-level
 // experiments (nil for other backends).
-func (tb *Testbed) ChordNetwork() *chord.Network { return tb.net }
+func (tb *Testbed) ChordNetwork() *chord.Network {
+	net, _ := tb.ov.(*chord.Network)
+	return net
+}
 
 // KademliaNetwork exposes the underlying Kademlia network for
 // protocol-level experiments (nil for other backends).
-func (tb *Testbed) KademliaNetwork() *kademlia.Network { return tb.knet }
+func (tb *Testbed) KademliaNetwork() *kademlia.Network {
+	net, _ := tb.ov.(*kademlia.Network)
+	return net
+}
 
 // BiasedSampler builds a sampler choosing peers with probability
 // proportional to weight(p), by rejection over the uniform sampler —
