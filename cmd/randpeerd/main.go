@@ -12,7 +12,10 @@
 //
 //	POST /wire          node-to-node RPCs (wire transport protocol)
 //	GET  /healthz       readiness probe with build identity
-//	GET  /metrics       Prometheus text exposition (obs registry)
+//	GET  /metrics       Prometheus text exposition (obs registry): the
+//	                    daemon's one metrics surface — uptime, owned
+//	                    nodes by backend, wire RPC calls, failures,
+//	                    latency and served count
 //	GET  /debug/pprof/  runtime profiling (pprof index, profiles)
 //	POST /v1/provision  install an overlay partition (backend, points,
 //	                    owned subset, point->address routes)
@@ -22,7 +25,6 @@
 //	POST /v1/sample     draw K random peers with the King–Saia sampler
 //	POST /v1/trace      run one traced lookup, returning its hop record
 //	GET  /v1/trace?id=N spans this process retained for a trace id
-//	GET  /v1/metrics    meter snapshot, served-call count, uptime
 //	GET  /v1/slo        live windowed SLO report (?flush=1 cuts the
 //	                    current partial window first; -slo-window sets
 //	                    the cadence, 0 disables)
@@ -34,6 +36,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand/v2"
@@ -124,7 +127,7 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "randpeerd:", err)
 		return 1
 	}
-	srv := &http.Server{Handler: d.mux()}
+	srv := wire.NewServer(d.mux())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(lis) }()
 
@@ -183,13 +186,19 @@ func newDaemon(tr *wire.Transport) *daemon {
 	d.reg.GaugeFunc("randpeerd_uptime_seconds",
 		"Seconds since the daemon started.",
 		func() float64 { return time.Since(d.start).Seconds() })
-	d.reg.GaugeFunc("randpeerd_owned_nodes",
-		"Overlay nodes hosted by this daemon's current partition.",
-		func() float64 {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			return float64(len(d.owned))
-		})
+	for _, backend := range []string{"chord", "kademlia"} {
+		d.reg.GaugeFunc("randpeerd_owned_nodes",
+			"Overlay nodes hosted by this daemon's current partition, by backend.",
+			func() float64 {
+				d.mu.Lock()
+				defer d.mu.Unlock()
+				if d.backend != backend {
+					return 0
+				}
+				return float64(len(d.owned))
+			},
+			obs.Label{Name: "backend", Value: backend})
+	}
 	return d
 }
 
@@ -209,7 +218,6 @@ func (d *daemon) mux() *http.ServeMux {
 	mux.HandleFunc("/v1/next", d.handleNext)
 	mux.HandleFunc("/v1/sample", d.handleSample)
 	mux.HandleFunc("/v1/trace", d.handleTrace)
-	mux.HandleFunc("/v1/metrics", d.handleMetrics)
 	mux.HandleFunc("/v1/slo", d.handleSLO)
 	return mux
 }
@@ -430,26 +438,6 @@ func (d *daemon) handleSample(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, cluster.SampleResponse{Points: out, Calls: cost.Calls})
 }
 
-func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	d.mu.Lock()
-	backend := d.backend
-	owned := make([]uint64, len(d.owned))
-	for i, p := range d.owned {
-		owned[i] = uint64(p)
-	}
-	d.mu.Unlock()
-	cost := d.tr.Meter().Snapshot()
-	writeJSON(w, cluster.MetricsResponse{
-		Backend:       backend,
-		Owned:         owned,
-		UptimeSeconds: time.Since(d.start).Seconds(),
-		ServedCalls:   d.tr.ServedCalls(),
-		Calls:         cost.Calls,
-		Messages:      cost.Messages,
-		Failures:      cost.Failures,
-	})
-}
-
 func (d *daemon) handleSLO(w http.ResponseWriter, r *http.Request) {
 	if d.slor == nil {
 		httpError(w, http.StatusConflict, "slo: recorder disabled (-slo-window 0)")
@@ -466,13 +454,24 @@ func toPoints(raw []uint64) []ring.Point {
 	return out
 }
 
+// maxControlBytes bounds one control-plane request body; larger bodies
+// are refused with 413. The largest legitimate body is a provision
+// request, which carries the whole membership and route table: about
+// 100 bytes per node (20 KB for the test suite's largest), so 16 MiB
+// admits overlays of over 10^5 nodes.
+const maxControlBytes = 16 << 20
+
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed request: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBytes)).Decode(dst); err != nil {
+		code := http.StatusBadRequest
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "malformed request: %v", err)
 		return false
 	}
 	return true

@@ -2,13 +2,13 @@ package main
 
 import (
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/dht-sampling/randompeer/internal/cluster"
 	"github.com/dht-sampling/randompeer/internal/obs"
 	"github.com/dht-sampling/randompeer/internal/slo"
+	"github.com/dht-sampling/randompeer/internal/wire"
 )
 
 // sloMaxWindows bounds the retained window history: at the default 5s
@@ -71,22 +71,7 @@ func (r *sloRecorder) loop() {
 // an SLO window input, advance the cursor. Callers hold r.mu.
 func (r *sloRecorder) cutLocked(now time.Time) {
 	snap := r.reg.Snapshot()
-	delta := snap.Delta(r.prev)
-	in := slo.WindowInput{
-		Start: r.prevAt.Sub(r.epoch),
-		End:   now.Sub(r.epoch),
-	}
-	if h, ok := delta.Hist("wire_rpc_duration_seconds"); ok {
-		in.Latency = h
-		in.OK = h.Count
-	}
-	for _, key := range delta.Keys {
-		if strings.HasPrefix(key, "wire_rpc_failures_total") {
-			if v, ok := delta.Value(key); ok {
-				in.Failed += int64(v)
-			}
-		}
-	}
+	in := slo.Window(r.prevAt.Sub(r.epoch), now.Sub(r.epoch), snap.Delta(r.prev), wire.SLOSeries)
 	r.wins = append(r.wins, in)
 	if len(r.wins) > sloMaxWindows {
 		r.wins = r.wins[len(r.wins)-sloMaxWindows:]

@@ -86,17 +86,6 @@ type SampleResponse struct {
 	Calls  int64    `json:"calls"`
 }
 
-// MetricsResponse is the daemon's meter-snapshot endpoint payload.
-type MetricsResponse struct {
-	Backend       string   `json:"backend"`
-	Owned         []uint64 `json:"owned"`
-	UptimeSeconds float64  `json:"uptime_seconds"`
-	ServedCalls   int64    `json:"served_calls"`
-	Calls         int64    `json:"calls"`
-	Messages      int64    `json:"messages"`
-	Failures      int64    `json:"failures"`
-}
-
 // HealthResponse is the daemon's /healthz payload: liveness plus the
 // build identity stamped into the binary.
 type HealthResponse struct {
@@ -203,23 +192,6 @@ func SampleAt(addr string, count int, seed uint64) (SampleResponse, error) {
 	var out SampleResponse
 	err := postJSON(addr, "/v1/sample", SampleRequest{Count: count, Seed: seed}, &out)
 	return out, err
-}
-
-// MetricsAt fetches the daemon's meter snapshot.
-func MetricsAt(addr string) (MetricsResponse, error) {
-	var out MetricsResponse
-	resp, err := ctlClient.Get("http://" + addr + "/v1/metrics")
-	if err != nil {
-		return out, fmt.Errorf("cluster: GET /v1/metrics: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return out, fmt.Errorf("cluster: /v1/metrics: status %d", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, fmt.Errorf("cluster: decoding /v1/metrics: %w", err)
-	}
-	return out, nil
 }
 
 // HealthAt fetches the daemon's health and build identity.

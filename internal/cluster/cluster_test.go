@@ -240,20 +240,26 @@ func TestClusterControlPlane(t *testing.T) {
 		}
 	}
 
-	m, err := MetricsAt(c.Addr(0))
+	// The daemon's one metrics surface, /metrics, carries the
+	// partition's backend and size, its uptime, the RPCs it served and
+	// the calls it made.
+	e, err := ScrapeMetrics(c.Addr(0))
 	if err != nil {
 		t.Fatalf("metrics at daemon 0: %v", err)
 	}
-	if m.Backend != "chord" {
-		t.Fatalf("metrics backend = %q, want chord", m.Backend)
+	if owned, ok := e.Value("randpeerd_owned_nodes", map[string]string{"backend": "chord"}); !ok || int(owned) != len(c.Owned(0)) {
+		t.Fatalf("owned_nodes{backend=chord} = %v, %v; want %d", owned, ok, len(c.Owned(0)))
 	}
-	if len(m.Owned) != len(c.Owned(0)) {
-		t.Fatalf("metrics owned = %d points, want %d", len(m.Owned), len(c.Owned(0)))
+	if other, ok := e.Value("randpeerd_owned_nodes", map[string]string{"backend": "kademlia"}); !ok || other != 0 {
+		t.Fatalf("owned_nodes{backend=kademlia} = %v, %v; want 0 on a chord partition", other, ok)
 	}
-	if m.ServedCalls < 1 {
-		t.Fatalf("metrics served = %d, want >= 1 after cross-daemon lookups", m.ServedCalls)
+	if up, ok := e.Value("randpeerd_uptime_seconds", nil); !ok || up <= 0 {
+		t.Fatalf("uptime = %v, %v; want > 0", up, ok)
 	}
-	if m.Calls < 1 {
-		t.Fatalf("metrics calls = %d, want >= 1 (daemon 0 made outgoing lookup hops)", m.Calls)
+	if served := e.Sum("wire_rpc_served_total", nil); served < 1 {
+		t.Fatalf("served %v RPCs, want >= 1 after cross-daemon lookups", served)
+	}
+	if calls, ok := e.Value("wire_rpc_duration_seconds_count", nil); !ok || calls < 1 {
+		t.Fatalf("calls = %v, %v; want >= 1 (daemon 0 made outgoing lookup hops)", calls, ok)
 	}
 }

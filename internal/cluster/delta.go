@@ -1,28 +1,28 @@
 package cluster
 
 import (
-	"strings"
 	"time"
 
 	"github.com/dht-sampling/randompeer/internal/obs"
-	"github.com/dht-sampling/randompeer/internal/obs/obstest"
 	"github.com/dht-sampling/randompeer/internal/slo"
+	"github.com/dht-sampling/randompeer/internal/wire"
 )
 
 // Windowed fleet metrics: a ClusterScrape is one point-in-time capture
 // of every daemon's /metrics exposition, and Delta turns two captures
 // into per-window increases — the wall-clock counterpart of the
-// virtual-time recorder in internal/load. Counter and histogram deltas
-// clamp at zero per daemon, so a restarted daemon (whose counters
-// reset) reads as no progress for that window instead of dragging the
-// fleet total negative.
+// virtual-time recorder in internal/load, built from the same
+// obs.RegistrySnapshot.Delta. Counter and histogram deltas clamp at
+// zero per daemon, so a restarted daemon (whose counters reset) reads
+// as no progress for that window instead of dragging the fleet total
+// negative.
 
 // ClusterScrape is one fleet-wide metrics capture, daemon-indexed.
 type ClusterScrape struct {
 	// Taken is the wall-clock capture time.
 	Taken time.Time
-	// Daemons holds each daemon's parsed exposition, in daemon order.
-	Daemons []*obstest.Exposition
+	// Daemons holds each daemon's scraped registry, in daemon order.
+	Daemons []obs.RegistrySnapshot
 }
 
 // Scrape captures every daemon's /metrics exposition with one
@@ -32,105 +32,57 @@ func (c *Cluster) Scrape() (*ClusterScrape, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ClusterScrape{Taken: time.Now(), Daemons: exps}, nil
+	s := &ClusterScrape{Taken: time.Now(), Daemons: make([]obs.RegistrySnapshot, len(exps))}
+	for i, e := range exps {
+		s.Daemons[i] = e.Snapshot()
+	}
+	return s, nil
 }
 
-// ScrapeDelta is the fleet-wide change between two scrapes.
+// ScrapeDelta is the fleet-wide change between two scrapes: each
+// daemon's obs.RegistrySnapshot.Delta, summed across daemons series by
+// series. Counters and histograms sum their per-daemon increases,
+// gauges their latest readings.
 type ScrapeDelta struct {
 	// Start and End are the two capture times.
 	Start, End time.Time
-	// Series sums each scalar series across daemons: counters as their
-	// per-daemon clamped increase, gauges (and untyped series) at their
-	// latest reading. Keys are obstest.SeriesKey form (name{labels}).
-	Series map[string]float64
-	// Hists sums each histogram series' bucket-wise clamped increase
-	// across daemons, keyed like Series by family name plus labels.
-	Hists map[string]obs.HistSnapshot
+	obs.RegistrySnapshot
 }
 
 // Delta computes the fleet-wide increase from prev to s. Daemons are
 // index-aligned; a daemon absent from prev (the fleet grew) counts
-// from zero, and a daemon whose counters went backwards (it restarted)
-// contributes zero for the affected series rather than a negative.
-// prev may be nil, which reads every counter from zero.
+// from zero. prev may be nil, which reads every counter from zero.
 func (s *ClusterScrape) Delta(prev *ClusterScrape) *ScrapeDelta {
 	out := &ScrapeDelta{
-		End:    s.Taken,
-		Series: make(map[string]float64),
-		Hists:  make(map[string]obs.HistSnapshot),
+		End:              s.Taken,
+		RegistrySnapshot: obs.RegistrySnapshot{Series: make(map[string]obs.SeriesValue)},
 	}
 	if prev != nil {
 		out.Start = prev.Taken
 	}
-	for i, e := range s.Daemons {
-		var pe *obstest.Exposition
+	for i, snap := range s.Daemons {
+		var base obs.RegistrySnapshot
 		if prev != nil && i < len(prev.Daemons) {
-			pe = prev.Daemons[i]
+			base = prev.Daemons[i]
 		}
-		for _, smp := range e.Samples {
-			family, typ := e.Family(smp.Name)
-			if typ == "histogram" {
-				if smp.Name != family+"_count" {
-					continue // one hist delta per series, keyed off _count
-				}
-				cur, ok := e.HistSnapshot(family, smp.Labels)
-				if !ok {
-					continue
-				}
-				var prevH obs.HistSnapshot
-				if pe != nil {
-					prevH, _ = pe.HistSnapshot(family, smp.Labels)
-				}
-				key := obstest.SeriesKey(family, smp.Labels)
-				out.Hists[key] = addHists(out.Hists[key], cur.Sub(prevH))
-				continue
+		d := snap.Delta(base)
+		for _, key := range d.Keys {
+			v := d.Series[key]
+			sum, ok := out.Series[key]
+			if !ok {
+				out.Keys = append(out.Keys, key)
 			}
-			key := smp.Key()
-			v := smp.Value
-			if typ == "counter" {
-				var prevV float64
-				if pe != nil {
-					prevV, _ = pe.Value(smp.Name, smp.Labels)
-				}
-				v -= prevV
-				if v < 0 {
-					v = 0 // counter reset: the daemon restarted mid-window
-				}
-			}
-			out.Series[key] += v
+			out.Series[key] = obs.SeriesValue{Kind: v.Kind, Value: sum.Value + v.Value, Hist: sum.Hist.Add(v.Hist)}
 		}
 	}
 	return out
 }
 
-// addHists sums two histogram readings bucket-wise.
-func addHists(a, b obs.HistSnapshot) obs.HistSnapshot {
-	a.Count += b.Count
-	a.SumNanos += b.SumNanos
-	for i := range a.Buckets {
-		a.Buckets[i] += b.Buckets[i]
-	}
-	return a
-}
-
 // SLOWindow maps one fleet delta onto the SLO engine's window input
-// using the wire transport's RPC series: OK counts the successful
-// round trips the latency histogram recorded, Failed sums the failure
-// taxonomy counters, and the window bounds are the capture times
-// relative to epoch. Feeding successive deltas to slo.Evaluate yields
-// the same report shape over a live cluster that E28 computes in
-// virtual time.
+// through the wire transport's RPC series, with the window bounds the
+// capture times relative to epoch. Feeding successive deltas to
+// slo.Evaluate yields the same report shape over a live cluster that
+// E28 computes in virtual time.
 func (d *ScrapeDelta) SLOWindow(epoch time.Time) slo.WindowInput {
-	in := slo.WindowInput{
-		Start: d.Start.Sub(epoch),
-		End:   d.End.Sub(epoch),
-	}
-	in.Latency = d.Hists["wire_rpc_duration_seconds"]
-	in.OK = in.Latency.Count
-	for key, v := range d.Series {
-		if strings.HasPrefix(key, "wire_rpc_failures_total") {
-			in.Failed += int64(v)
-		}
-	}
-	return in
+	return slo.Window(d.Start.Sub(epoch), d.End.Sub(epoch), d.RegistrySnapshot, wire.SLOSeries)
 }

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"time"
 
@@ -29,7 +31,11 @@ func parseReg(t *testing.T, r *obs.Registry) *obstest.Exposition {
 }
 
 func scrapeAt(taken time.Time, exps ...*obstest.Exposition) *ClusterScrape {
-	return &ClusterScrape{Taken: taken, Daemons: exps}
+	s := &ClusterScrape{Taken: taken}
+	for _, e := range exps {
+		s.Daemons = append(s.Daemons, e.Snapshot())
+	}
+	return s
 }
 
 func TestScrapeDeltaSumsCountersClampsResets(t *testing.T) {
@@ -53,11 +59,11 @@ func TestScrapeDeltaSumsCountersClampsResets(t *testing.T) {
 	// Daemon 0 contributes +40; daemon 1's reset clamps to zero (not
 	// -45), then its post-restart 5 calls are absorbed into the next
 	// window's baseline.
-	if got := d.Series[`rpc_total{dest="remote"}`]; got != 40 {
+	if got, _ := d.Value(`rpc_total{dest="remote"}`); got != 40 {
 		t.Fatalf("counter delta %v; want 40 (reset clamped to zero)", got)
 	}
 	// Gauges sum their latest readings, no differencing.
-	if got := d.Series["owned_nodes"]; got != 7 {
+	if got, _ := d.Value("owned_nodes"); got != 7 {
 		t.Fatalf("gauge %v; want 7 (latest readings summed)", got)
 	}
 }
@@ -71,14 +77,14 @@ func TestScrapeDeltaNilPrevAndFleetGrowth(t *testing.T) {
 	now := time.Unix(200, 0)
 	// nil prev: everything counts from zero.
 	d := scrapeAt(now, parseReg(t, mk(30))).Delta(nil)
-	if got := d.Series["rpc_total"]; got != 30 {
+	if got, _ := d.Value("rpc_total"); got != 30 {
 		t.Fatalf("nil-prev delta %v; want 30", got)
 	}
 	// A daemon joining between scrapes counts from zero too.
 	s0 := scrapeAt(now, parseReg(t, mk(10)))
 	s1 := scrapeAt(now.Add(time.Second), parseReg(t, mk(12)), parseReg(t, mk(8)))
 	d = s1.Delta(s0)
-	if got := d.Series["rpc_total"]; got != 10 {
+	if got, _ := d.Value("rpc_total"); got != 10 {
 		t.Fatalf("fleet-growth delta %v; want 2+8", got)
 	}
 }
@@ -167,9 +173,9 @@ func TestScrapeDeltaHistogramRoundTripAndWindow(t *testing.T) {
 	s1 := scrapeAt(epoch.Add(10*time.Second), parseReg(t, reg))
 
 	d := s1.Delta(s0)
-	hd, ok := d.Hists["wire_rpc_duration_seconds"]
+	hd, ok := d.Hist("wire_rpc_duration_seconds")
 	if !ok {
-		t.Fatalf("no histogram delta; hists: %v", d.Hists)
+		t.Fatalf("no histogram delta; keys: %v", d.Keys)
 	}
 	// The scraped delta must match the in-process delta bucket-exactly:
 	// the exposition's power-of-two le bounds invert losslessly.
@@ -192,5 +198,98 @@ func TestScrapeDeltaHistogramRoundTripAndWindow(t *testing.T) {
 	}, []slo.WindowInput{in})
 	if rep.TotalRequests != 55 || rep.TotalFailed != 5 {
 		t.Fatalf("evaluated totals %d/%d; want 55 requests, 5 failed", rep.TotalRequests, rep.TotalFailed)
+	}
+}
+
+// randomRegistry builds a seeded registry mixing every instrument kind
+// the daemons expose (counters, gauges, their func forms, histograms
+// and histogram funcs, buckets 0 and 63 included) under label values
+// carrying `"`, `\` and newlines. advance moves it to a later scrape,
+// resetting some counter funcs as a restarted daemon would. Histogram
+// sums stay below 2^50 ns: the exposition carries _sum as float
+// seconds, exact only while nanoseconds fit the float mantissa.
+func randomRegistry(rng *rand.Rand) (reg *obs.Registry, advance func()) {
+	reg = obs.NewRegistry()
+	var mutate []func()
+	values := []string{"", `quo"te`, `back\slash`, "new\nline"}
+	grow := func(h *obs.HistSnapshot) {
+		for _, b := range []int{0, 63, rng.IntN(64)} {
+			n := rng.Int64N(5)
+			h.Buckets[b] += n
+			h.Count += n
+		}
+		h.SumNanos += rng.Int64N(1 << 40)
+	}
+	for f := 0; f < 12; f++ {
+		name := fmt.Sprintf("prop_%d", f)
+		for i := 0; i < 1+rng.IntN(3); i++ {
+			ls := []obs.Label{{Name: "op", Value: values[rng.IntN(len(values))] + fmt.Sprint(i)}}
+			if rng.IntN(2) == 0 {
+				ls = append(ls, obs.Label{Name: "dest", Value: values[rng.IntN(len(values))]})
+			}
+			v := rng.Float64() * 1e6
+			var snap obs.HistSnapshot
+			switch f % 6 {
+			case 0:
+				c := reg.Counter(name+"_total", "counter", ls...)
+				mutate = append(mutate, func() { c.Add(rng.Int64N(1000)) })
+			case 1:
+				g := reg.Gauge(name, "gauge", ls...)
+				mutate = append(mutate, func() { g.Set(rng.Int64N(2000) - 1000) })
+			case 2:
+				reg.CounterFunc(name+"_total", "counter func", func() float64 { return v }, ls...)
+				mutate = append(mutate, func() { v = v*float64(rng.IntN(2)) + rng.Float64()*1e3 })
+			case 3:
+				reg.GaugeFunc(name, "gauge func", func() float64 { return v }, ls...)
+				mutate = append(mutate, func() { v = rng.NormFloat64() * 1e3 })
+			case 4:
+				h := reg.Histogram(name+"_seconds", "histogram", ls...)
+				mutate = append(mutate, func() {
+					h.Observe(0)
+					h.Observe(time.Duration(rng.Int64N(1 << 40)))
+				})
+			case 5:
+				reg.HistogramFunc(name+"_seconds", "histogram func", func() obs.HistSnapshot { return snap }, ls...)
+				mutate = append(mutate, func() { grow(&snap) })
+			}
+		}
+	}
+	advance = func() {
+		for _, m := range mutate {
+			m()
+		}
+	}
+	advance()
+	return reg, advance
+}
+
+// TestScrapeSnapshotMatchesRegistry is the exposition round trip as a
+// property: for seeded random registries, the parsed WritePrometheus
+// output's Snapshot equals the registry's own, key for key in order and
+// value for value.
+func TestScrapeSnapshotMatchesRegistry(t *testing.T) {
+	rng := rand.New(rand.NewPCG(81, 83))
+	for trial := 0; trial < 50; trial++ {
+		reg, _ := randomRegistry(rng)
+		if got, want := parseReg(t, reg).Snapshot(), reg.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: scraped snapshot\n got %+v\nwant %+v", trial, got, want)
+		}
+	}
+}
+
+// TestScrapeDeltaMatchesInProcessDelta: the fleet Delta over two parsed
+// scrapes of a daemon equals the in-process obs.RegistrySnapshot.Delta
+// of the same two readings, counter resets included.
+func TestScrapeDeltaMatchesInProcessDelta(t *testing.T) {
+	rng := rand.New(rand.NewPCG(89, 97))
+	epoch := time.Unix(400, 0)
+	for trial := 0; trial < 50; trial++ {
+		reg, advance := randomRegistry(rng)
+		before, s0 := reg.Snapshot(), scrapeAt(epoch, parseReg(t, reg))
+		advance()
+		after, s1 := reg.Snapshot(), scrapeAt(epoch.Add(time.Second), parseReg(t, reg))
+		if got, want := s1.Delta(s0).RegistrySnapshot, after.Delta(before); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: fleet delta\n got %+v\nwant %+v", trial, got, want)
+		}
 	}
 }

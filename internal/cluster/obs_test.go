@@ -1,31 +1,13 @@
 package cluster
 
 import (
-	"bytes"
 	"math/rand/v2"
 	"sync"
 	"testing"
 
-	"github.com/dht-sampling/randompeer/internal/obs"
-	"github.com/dht-sampling/randompeer/internal/obs/obstest"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/wire"
 )
-
-// renderRegistry renders a registry's exposition and runs it through
-// the same strict checker the daemon scrapes get.
-func renderRegistry(t *testing.T, r *obs.Registry) *obstest.Exposition {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatalf("rendering client registry: %v", err)
-	}
-	e, err := obstest.Parse(buf.Bytes())
-	if err != nil {
-		t.Fatalf("client exposition invalid: %v\n%s", err, buf.String())
-	}
-	return e
-}
 
 // TestClusterMetricsScrape is the fleet-level observability smoke: it
 // drives client lookups across a 3-daemon cluster, scrapes /metrics
@@ -66,7 +48,7 @@ func TestClusterMetricsScrape(t *testing.T) {
 		if up, ok := e.Value("randpeerd_uptime_seconds", nil); !ok || up <= 0 {
 			t.Errorf("daemon %d: uptime = %v, %v; want > 0", i, up, ok)
 		}
-		if owned, ok := e.Value("randpeerd_owned_nodes", nil); !ok || int(owned) != len(c.Owned(i)) {
+		if owned, ok := e.Value("randpeerd_owned_nodes", map[string]string{"backend": "chord"}); !ok || int(owned) != len(c.Owned(i)) {
 			t.Errorf("daemon %d: owned_nodes = %v, want %d", i, owned, len(c.Owned(i)))
 		}
 		if served := e.Sum("wire_rpc_served_total", nil); served < 1 {
@@ -78,7 +60,7 @@ func TestClusterMetricsScrape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := renderRegistry(t, reg)
+	client := parseReg(t, reg)
 
 	// The client histogram records exactly the calls the meter charged.
 	meterCalls := float64(c.Client().Meter().Snapshot().Calls)

@@ -58,13 +58,13 @@ type SLOResult struct {
 	RunWall      time.Duration // measured, not simulated — excluded from determinism
 }
 
-// sloMetricKeys are the workload series the scenario extracts from each
-// recorder window (the op label is load.Config.Op's default).
-const (
-	sloKeyOK      = `load_requests_total{op="sample"}`
-	sloKeyFailed  = `load_request_failures_total{op="sample"}`
-	sloKeyLatency = `load_request_latency_nanoseconds{op="sample"}`
-)
+// sloSeries are the workload series the scenario reads each recorder
+// window from (the op label is load.Config.Op's default).
+var sloSeries = slo.Series{
+	Latency: `load_request_latency_nanoseconds{op="sample"}`,
+	OK:      `load_requests_total{op="sample"}`,
+	Failed:  `load_request_failures_total{op="sample"}`,
+}
 
 // RunSLOScenario executes one E28 scenario: build the backend over a
 // kernel-bound transport, schedule churn, run the open-loop workload
@@ -210,17 +210,7 @@ func RunSLOScenario(sc SLOScenario) (*SLOResult, error) {
 		res.StepErrors = churnRun.StepErrors
 	}
 	for _, w := range rec.Windows() {
-		in := slo.WindowInput{Start: w.Start, End: w.End}
-		if v, ok := w.Delta.Value(sloKeyOK); ok {
-			in.OK = int64(v)
-		}
-		if v, ok := w.Delta.Value(sloKeyFailed); ok {
-			in.Failed = int64(v)
-		}
-		if h, ok := w.Delta.Hist(sloKeyLatency); ok {
-			in.Latency = h
-		}
-		res.Windows = append(res.Windows, in)
+		res.Windows = append(res.Windows, slo.Window(w.Start, w.End, w.Delta, sloSeries))
 	}
 	res.Report = slo.Evaluate(sc.Objectives, res.Windows)
 	res.VnodeOff, res.VnodeOn, err = loadbalance.VnodeCompare(run.OwnerLoads(), sc.VnodesPerHost, sc.Seed+6)
@@ -302,32 +292,15 @@ func expE28() Experiment {
 				Columns: []string{"backend", "n", "requests", "failed", "p50_ms", "p95_ms", "p99_ms", "avail", "budget%", "maxBurn", "fastWin", "vnodeOffImb", "vnodeOnImb", "met"},
 			}
 			for _, backend := range []string{"chord", "kademlia"} {
-				sc := DefaultSLOScenario(backend, cfg.Quick, model, cfg.Seed^0x28^uint64(len(backend)))
+				sc := DefaultSLOScenario(backend, cfg.Quick, model, cfg.Seed)
 				res, err := RunSLOScenario(sc)
 				if err != nil {
 					return nil, err
 				}
-				rep := res.Report
-				met := "yes"
-				if !rep.Met {
-					met = "no"
-				}
-				if err := t.AddRow(
-					backend, fmtI(sc.Peers),
-					fmtI64(rep.TotalRequests), fmtI64(rep.TotalFailed),
-					fmtF(ms(res.OverallQuantile(0.50))),
-					fmtF(ms(res.OverallQuantile(0.95))),
-					fmtF(ms(res.OverallQuantile(0.99))),
-					fmt.Sprintf("%.4f", rep.Availability),
-					fmtF(rep.BudgetConsumed*100),
-					fmtF(rep.MaxBurnRate),
-					fmtI(rep.FastBurnWindows),
-					fmtF(res.VnodeOff.Imbalance),
-					fmtF(res.VnodeOn.Imbalance),
-					met,
-				); err != nil {
+				if err := t.AddRow(res.row()...); err != nil {
 					return nil, err
 				}
+				rep := res.Report
 				t.AddNote("%s: %s", backend, rep.String())
 				t.AddNote("%s: %d windows of %v virtual; vnode grouping (V=%d) cut load CV %.3f -> %.3f; churn %d events (%d step errors); kernel ran %d events (%.0fms virtual) in %.2fs wall",
 					backend, len(rep.Windows), sc.Window, sc.VnodesPerHost,
@@ -342,16 +315,35 @@ func expE28() Experiment {
 	}
 }
 
+// row renders the result as its E28 table row.
+func (res *SLOResult) row() []string {
+	rep := res.Report
+	met := "yes"
+	if !rep.Met {
+		met = "no"
+	}
+	return []string{
+		res.Scenario.Backend, fmtI(res.Scenario.Peers),
+		fmtI64(rep.TotalRequests), fmtI64(rep.TotalFailed),
+		fmtF(ms(res.OverallQuantile(0.50))),
+		fmtF(ms(res.OverallQuantile(0.95))),
+		fmtF(ms(res.OverallQuantile(0.99))),
+		fmt.Sprintf("%.4f", rep.Availability),
+		fmtF(rep.BudgetConsumed * 100),
+		fmtF(rep.MaxBurnRate),
+		fmtI(rep.FastBurnWindows),
+		fmtF(res.VnodeOff.Imbalance),
+		fmtF(res.VnodeOn.Imbalance),
+		met,
+	}
+}
+
 // OverallQuantile merges the run's window histograms and reads one
 // quantile — the whole-horizon distribution, not an average of windows.
 func (res *SLOResult) OverallQuantile(q float64) time.Duration {
 	var total obs.HistSnapshot
 	for _, w := range res.Windows {
-		total.Count += w.Latency.Count
-		total.SumNanos += w.Latency.SumNanos
-		for i := range total.Buckets {
-			total.Buckets[i] += w.Latency.Buckets[i]
-		}
+		total = total.Add(w.Latency)
 	}
 	return total.Quantile(q)
 }

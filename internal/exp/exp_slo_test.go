@@ -75,3 +75,27 @@ func TestSLOScenarioReportShape(t *testing.T) {
 		}
 	}
 }
+
+// TestE28TableUsesScenarioSeed pins one seed derivation per scenario:
+// the E28 table's chord row is exactly RunSLOScenario over
+// DefaultSLOScenario at the run's seed, the run cmd/benchsnap's slo
+// section measures, so the table and BENCH agree on whether chord met
+// its objective.
+func TestE28TableUsesScenarioSeed(t *testing.T) {
+	cfg := RunConfig{Seed: 1, Quick: true}
+	tab, err := expE28().Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := cfg.LatencyModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSLOScenario(DefaultSLOScenario("chord", cfg.Quick, model, cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tab.Rows[0], res.row(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("E28 chord row\n got %v\nwant %v (RunSLOScenario at the scenario seed)", got, want)
+	}
+}

@@ -36,15 +36,6 @@ type Window struct {
 	Delta      obs.RegistrySnapshot
 }
 
-// Rate returns a counter's per-second rate over the window.
-func (w Window) Rate(key string) float64 {
-	v, ok := w.Delta.Value(key)
-	if !ok || w.End <= w.Start {
-		return 0
-	}
-	return v / w.Dur().Seconds()
-}
-
 // Dur returns the window length.
 func (w Window) Dur() time.Duration { return w.End - w.Start }
 

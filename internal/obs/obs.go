@@ -1,24 +1,25 @@
 // Package obs is the observability layer of the testbed: a
 // dependency-free metrics registry (counters, gauges and log-bucket
-// latency histograms reusing the simnet power-of-two bucket scheme)
-// with Prometheus text-format exposition, plus the hop-level lookup
-// trace facility in trace.go.
+// latency histograms) with Prometheus text-format exposition, plus the
+// hop-level lookup trace facility in trace.go.
 //
 // The registry is stdlib-only by design — the daemon, the wire
-// transport, the sim kernel and the cluster harness all expose their
+// transport, the load driver and the cluster harness all expose their
 // state through one Registry per process, scraped at /metrics or
 // written directly into a buffer by tests. Metric instruments are
 // updated with single atomic operations, so instrumented hot paths pay
 // no locks and no allocations; callback instruments (CounterFunc,
-// GaugeFunc, HistogramFunc) read existing state — a simnet.Meter
-// snapshot, a kernel stats record — only at scrape time, so wiring a
-// subsystem into the registry adds zero cost to its hot path.
+// GaugeFunc, HistogramFunc) read existing state — such as a
+// simnet.Meter's counters and latency histogram — only at scrape time,
+// so wiring a subsystem into the registry adds zero cost to its hot
+// path.
 //
 // Naming conventions (documented in DESIGN.md §11): snake_case metric
-// names prefixed by subsystem (wire_, randpeerd_, sim_kernel_),
+// names prefixed by subsystem (wire_, randpeerd_, load_),
 // counters suffixed _total, unit suffixes (_seconds, _nanoseconds)
-// on everything dimensional. Histogram buckets are the simnet latency
-// scheme: bucket b counts observations in [2^(b-1), 2^b) nanoseconds
+// on everything dimensional. Histogram is the one latency histogram
+// of the testbed (a simnet.Meter records its virtual round trips into
+// one): bucket b counts observations in [2^(b-1), 2^b) nanoseconds
 // (bucket 0 counts exact zeros), exposed as cumulative `le` bounds in
 // seconds.
 package obs
@@ -72,10 +73,15 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current reading.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// histBuckets is the number of power-of-two histogram buckets — the
-// same scheme as the simnet latency histogram, so 64 buckets cover
-// every int64 nanosecond duration.
+// histBuckets is the number of power-of-two histogram buckets; 64
+// buckets cover every int64 nanosecond duration.
 const histBuckets = 64
+
+// BucketOf maps a duration to its histogram bucket index: the b with
+// d in [2^(b-1), 2^b) nanoseconds, 0 for zero.
+func BucketOf(d time.Duration) int {
+	return bits.Len64(uint64(d)) % histBuckets
+}
 
 // Histogram is a log-bucket latency histogram: bucket b counts
 // observations in [2^(b-1), 2^b) nanoseconds, bucket 0 counts exact
@@ -92,7 +98,20 @@ func (h *Histogram) Observe(d time.Duration) {
 		d = 0
 	}
 	h.sum.Add(int64(d))
-	h.buckets[bits.Len64(uint64(d))%histBuckets].Add(1)
+	h.buckets[BucketOf(d)].Add(1)
+}
+
+// SumNanos returns the total observed duration without snapshotting
+// the buckets.
+func (h *Histogram) SumNanos() int64 { return h.sum.Load() }
+
+// Reset zeroes the histogram. Observations racing a Reset land on
+// either side of it, one atomic word at a time.
+func (h *Histogram) Reset() {
+	h.sum.Store(0)
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
+	}
 }
 
 // Snapshot returns the current histogram state.
@@ -106,9 +125,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// HistSnapshot is an immutable histogram reading. Its bucket layout is
-// identical to simnet.Latency, so a meter's latency histogram converts
-// by copying the fields (see the HistogramFunc users in cmd/randpeerd).
+// HistSnapshot is an immutable histogram reading.
 type HistSnapshot struct {
 	Count    int64
 	SumNanos int64
@@ -121,12 +138,8 @@ type Label struct {
 	Name, Value string
 }
 
-// metric kinds inside a family.
-const (
-	kindCounter   = "counter"
-	kindGauge     = "gauge"
-	kindHistogram = "histogram"
-)
+// kindNames are the exposition TYPE names of the series kinds.
+var kindNames = [...]string{KindCounter: "counter", KindGauge: "gauge", KindHistogram: "histogram"}
 
 // series is one (name, labels) instrument: exactly one of the value
 // fields is set.
@@ -141,8 +154,9 @@ type series struct {
 
 // family groups every series sharing one metric name.
 type family struct {
-	name, help, kind string
-	series           []*series
+	name, help string
+	kind       SeriesKind
+	series     []*series
 }
 
 // Registry holds metric families and renders them in Prometheus text
@@ -166,7 +180,7 @@ var metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
 // lookup finds or creates the family and the series for (name, labels),
 // returning (series, true) when the series already existed.
-func (r *Registry) lookup(name, help, kind string, labels []Label) (*series, bool) {
+func (r *Registry) lookup(name, help string, kind SeriesKind, labels []Label) (*series, bool) {
 	if !metricNameRE.MatchString(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -179,7 +193,7 @@ func (r *Registry) lookup(name, help, kind string, labels []Label) (*series, boo
 		r.families[name] = f
 		r.order = append(r.order, name)
 	} else if f.kind != kind {
-		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, f.kind, kind))
+		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, kindNames[f.kind], kindNames[kind]))
 	}
 	for _, s := range f.series {
 		if s.labels == rendered {
@@ -193,7 +207,7 @@ func (r *Registry) lookup(name, help, kind string, labels []Label) (*series, boo
 
 // Counter registers (or returns the existing) counter.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s, existed := r.lookup(name, help, kindCounter, labels)
+	s, existed := r.lookup(name, help, KindCounter, labels)
 	if !existed {
 		s.counter = new(Counter)
 	}
@@ -206,7 +220,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 // CounterFunc registers a counter whose value is read at scrape time
 // (for cumulative state owned elsewhere, e.g. a simnet.Meter).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	s, existed := r.lookup(name, help, kindCounter, labels)
+	s, existed := r.lookup(name, help, KindCounter, labels)
 	if existed {
 		panic(fmt.Sprintf("obs: metric %q%s registered twice", name, s.labels))
 	}
@@ -215,7 +229,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 
 // Gauge registers (or returns the existing) gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s, existed := r.lookup(name, help, kindGauge, labels)
+	s, existed := r.lookup(name, help, KindGauge, labels)
 	if !existed {
 		s.gauge = new(Gauge)
 	}
@@ -227,7 +241,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 
 // GaugeFunc registers a gauge whose value is read at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s, existed := r.lookup(name, help, kindGauge, labels)
+	s, existed := r.lookup(name, help, KindGauge, labels)
 	if existed {
 		panic(fmt.Sprintf("obs: metric %q%s registered twice", name, s.labels))
 	}
@@ -236,7 +250,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 
 // Histogram registers (or returns the existing) histogram.
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	s, existed := r.lookup(name, help, kindHistogram, labels)
+	s, existed := r.lookup(name, help, KindHistogram, labels)
 	if !existed {
 		s.hist = new(Histogram)
 	}
@@ -248,13 +262,21 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 
 // HistogramFunc registers a histogram whose state is read at scrape
 // time — the adapter for histograms owned elsewhere, such as a
-// simnet.Meter's latency histogram (identical bucket scheme).
+// simnet.Meter's latency histogram (its Latency method fits fn).
 func (r *Registry) HistogramFunc(name, help string, fn func() HistSnapshot, labels ...Label) {
-	s, existed := r.lookup(name, help, kindHistogram, labels)
+	s, existed := r.lookup(name, help, KindHistogram, labels)
 	if existed {
 		panic(fmt.Sprintf("obs: metric %q%s registered twice", name, s.labels))
 	}
 	s.histFn = fn
+}
+
+// SeriesKey renders a series identity, name{labels}, exactly as
+// RegistrySnapshot keys it: the one label renderer, shared with the
+// exposition parser in obstest so scraped and in-process snapshots key
+// alike.
+func SeriesKey(name string, labels ...Label) string {
+	return name + renderLabels(labels)
 }
 
 // renderLabels renders labels as {a="b",c="d"} with values escaped, or
@@ -287,42 +309,62 @@ func escapeLabel(v string) string {
 	return r.Replace(v)
 }
 
+// each visits every series in registration order with its current
+// reading. The structure is copied under the lock and the series are
+// read outside it, since a callback instrument may itself take locks.
+// Snapshot and WritePrometheus both read the registry through here.
+func (r *Registry) each(visit func(f *family, s *series, v SeriesValue)) {
+	r.mu.Lock()
+	fams := make([]family, 0, len(r.order))
+	for _, name := range r.order {
+		f := r.families[name]
+		fams = append(fams, family{name: f.name, help: f.help, kind: f.kind,
+			series: append([]*series(nil), f.series...)})
+	}
+	r.mu.Unlock()
+	for i := range fams {
+		f := &fams[i]
+		for _, s := range f.series {
+			v := SeriesValue{Kind: f.kind}
+			switch {
+			case s.counter != nil:
+				v.Value = float64(s.counter.Value())
+			case s.gauge != nil:
+				v.Value = float64(s.gauge.Value())
+			case s.fn != nil:
+				v.Value = s.fn()
+			case s.hist != nil:
+				v.Hist = s.hist.Snapshot()
+			case s.histFn != nil:
+				v.Hist = s.histFn()
+			}
+			visit(f, s, v)
+		}
+	}
+}
+
 // WritePrometheus renders every registered family in Prometheus text
 // exposition format (version 0.0.4).
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	// Copy the structure so callback instruments run without the
-	// registry lock (a HistogramFunc may itself take locks).
-	fams := make([]*family, 0, len(r.order))
-	for _, name := range r.order {
-		f := r.families[name]
-		cp := &family{name: f.name, help: f.help, kind: f.kind,
-			series: append([]*series(nil), f.series...)}
-		fams = append(fams, cp)
-	}
-	r.mu.Unlock()
-
 	var b strings.Builder
-	for _, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " "))
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range f.series {
-			switch {
-			case s.counter != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.counter.Value())
-			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.gauge.Value())
-			case s.fn != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(s.fn()))
-			case s.hist != nil:
-				writeHist(&b, f.name, s.labels, s.hist.Snapshot())
-			case s.histFn != nil:
-				writeHist(&b, f.name, s.labels, s.histFn())
+	var last *family
+	r.each(func(f *family, s *series, v SeriesValue) {
+		if f != last {
+			last = f
+			if f.help != "" {
+				fmt.Fprintf(&b, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " "))
 			}
+			fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, kindNames[f.kind])
 		}
-	}
+		switch {
+		case f.kind == KindHistogram:
+			writeHist(&b, f.name, s.labels, v.Hist)
+		case s.fn != nil:
+			fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(v.Value))
+		default:
+			fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, int64(v.Value))
+		}
+	})
 	_, err := w.Write([]byte(b.String()))
 	return err
 }

@@ -13,6 +13,20 @@ import (
 	"github.com/dht-sampling/randompeer/internal/obs/obstest"
 )
 
+// expose renders r and parses it back through the strict checker.
+func expose(t *testing.T, r *obs.Registry) *obstest.Exposition {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	e, err := obstest.Parse(buf.Bytes())
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v\n%s", err, buf.String())
+	}
+	return e
+}
+
 func TestCounterGaugeExposition(t *testing.T) {
 	r := obs.NewRegistry()
 	c := r.Counter("test_ops_total", "ops", obs.Label{Name: "kind", Value: "read"})
@@ -23,14 +37,7 @@ func TestCounterGaugeExposition(t *testing.T) {
 	g.Add(-3)
 	r.CounterFunc("test_fn_total", "fn", func() float64 { return 7 })
 
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e, err := obstest.Parse(buf.Bytes())
-	if err != nil {
-		t.Fatalf("exposition does not parse: %v\n%s", err, buf.String())
-	}
+	e := expose(t, r)
 	if v, ok := e.Value("test_ops_total", map[string]string{"kind": "read"}); !ok || v != 42 {
 		t.Fatalf("test_ops_total = %v, %v; want 42", v, ok)
 	}
@@ -95,14 +102,7 @@ func TestHistogramBuckets(t *testing.T) {
 		t.Fatalf("bucket placement wrong: %v", s.Buckets[:12])
 	}
 
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e, err := obstest.Parse(buf.Bytes())
-	if err != nil {
-		t.Fatalf("histogram exposition does not parse: %v\n%s", err, buf.String())
-	}
+	e := expose(t, r)
 	if v, ok := e.Value("test_latency_seconds_count", nil); !ok || v != 4 {
 		t.Fatalf("_count = %v, %v; want 4", v, ok)
 	}
@@ -120,14 +120,7 @@ func TestHistogramFuncAdapter(t *testing.T) {
 	snap.Buckets[10] = 3
 	r.HistogramFunc("test_adapted_seconds", "adapted", func() obs.HistSnapshot { return snap })
 
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e, err := obstest.Parse(buf.Bytes())
-	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, buf.String())
-	}
+	e := expose(t, r)
 	if v, ok := e.Value("test_adapted_seconds_count", nil); !ok || v != 3 {
 		t.Fatalf("_count = %v, %v; want 3", v, ok)
 	}
@@ -152,14 +145,7 @@ func TestHandlerContentType(t *testing.T) {
 func TestLabelEscaping(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Counter("esc_total", "esc", obs.Label{Name: "v", Value: "a\"b\\c\nd"}).Inc()
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e, err := obstest.Parse(buf.Bytes())
-	if err != nil {
-		t.Fatalf("escaped labels do not parse: %v\n%s", err, buf.String())
-	}
+	e := expose(t, r)
 	if v, ok := e.Value("esc_total", map[string]string{"v": "a\"b\\c\nd"}); !ok || v != 1 {
 		t.Fatalf("escaped label round-trip failed: %v, %v", v, ok)
 	}
@@ -182,13 +168,7 @@ func TestConcurrentInstrumentUse(t *testing.T) {
 	}
 	// Scrape concurrently with updates.
 	for i := 0; i < 10; i++ {
-		var buf bytes.Buffer
-		if err := r.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := obstest.Parse(buf.Bytes()); err != nil {
-			t.Fatalf("mid-update exposition invalid: %v", err)
-		}
+		expose(t, r)
 	}
 	wg.Wait()
 	if c.Value() != 8000 {

@@ -1,7 +1,8 @@
 // Package obstest validates and parses Prometheus text exposition
 // format (version 0.0.4) — the checker the cluster smoke suite runs
-// over every daemon's /metrics output, and the parser behind the
-// cluster scrape-and-aggregate helpers.
+// over every daemon's /metrics output, and the parser that turns a
+// scrape back into an obs.RegistrySnapshot for the cluster delta
+// helpers.
 //
 // Validation is deliberately strict about the invariants a real
 // Prometheus scraper relies on: metric and label names match the
@@ -38,6 +39,7 @@ type Exposition struct {
 	Samples []Sample
 
 	byKey map[string]float64
+	hists map[string]obs.HistSnapshot // by series key, from parseHistograms
 }
 
 var (
@@ -53,7 +55,6 @@ func Parse(data []byte) (*Exposition, error) {
 		Types: make(map[string]string),
 		byKey: make(map[string]float64),
 	}
-	seenSamples := make(map[string]bool)
 	for i, line := range strings.Split(string(data), "\n") {
 		lineNo := i + 1
 		if line == "" {
@@ -69,21 +70,17 @@ func Parse(data []byte) (*Exposition, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		if typ, ok := e.Types[familyOf(s.Name, e.Types)]; !ok {
+		if _, ok := e.Types[familyOf(s.Name, e.Types)]; !ok {
 			return nil, fmt.Errorf("line %d: sample %q precedes its # TYPE line", lineNo, s.Name)
-		} else if typ == "histogram" {
-			// bucket/sum/count suffixes are checked family-wide below.
-			_ = typ
 		}
-		key := sampleKey(s)
-		if seenSamples[key] {
+		key := seriesKey(s.Name, s.Labels, "")
+		if _, dup := e.byKey[key]; dup {
 			return nil, fmt.Errorf("line %d: duplicate series %s", lineNo, key)
 		}
-		seenSamples[key] = true
 		e.Samples = append(e.Samples, s)
 		e.byKey[key] = s.Value
 	}
-	if err := e.checkHistograms(); err != nil {
+	if err := e.parseHistograms(); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -235,184 +232,117 @@ func familyOf(name string, types map[string]string) string {
 	return name
 }
 
-// checkHistograms validates every histogram family: per-series buckets
-// are cumulative, non-decreasing in le, carry +Inf, and +Inf == _count.
-func (e *Exposition) checkHistograms() error {
-	type bkt struct {
-		le  float64
-		cum float64
-	}
+// parseHistograms validates every histogram series — buckets
+// cumulative and non-decreasing in le, a +Inf bucket equal to _count,
+// a _sum — and inverts it into an obs reading: the power-of-two `le`
+// bounds (2^i nanoseconds, rendered in seconds) map exactly back onto
+// obs bucket indices, and bounds the writer skipped held no
+// observations.
+func (e *Exposition) parseHistograms() error {
+	type bkt struct{ le, cum float64 }
 	buckets := make(map[string][]bkt) // series key without le -> buckets
 	counts := make(map[string]float64)
-	sums := make(map[string]bool)
+	sums := make(map[string]float64)
 	for _, s := range e.Samples {
 		base := familyOf(s.Name, e.Types)
 		if e.Types[base] != "histogram" || base == s.Name {
 			continue
 		}
-		key := base + renderSorted(s.Labels, "le")
-		switch {
-		case strings.HasSuffix(s.Name, "_bucket"):
-			leStr, ok := s.Labels["le"]
-			if !ok {
-				return fmt.Errorf("histogram %s: bucket without le label", base)
-			}
-			le, err := parseValue(leStr)
+		key := seriesKey(base, s.Labels, "le")
+		switch strings.TrimPrefix(s.Name, base) {
+		case "_bucket":
+			le, err := parseValue(s.Labels["le"])
 			if err != nil {
-				return fmt.Errorf("histogram %s: bad le %q", base, leStr)
+				return fmt.Errorf("histogram %s: bad or missing le %q", base, s.Labels["le"])
 			}
 			buckets[key] = append(buckets[key], bkt{le: le, cum: s.Value})
-		case strings.HasSuffix(s.Name, "_count"):
+		case "_count":
 			counts[key] = s.Value
-		case strings.HasSuffix(s.Name, "_sum"):
-			sums[key] = true
+		case "_sum":
+			sums[key] = s.Value
 		}
 	}
+	e.hists = make(map[string]obs.HistSnapshot, len(buckets))
 	for key, bs := range buckets {
 		sort.Slice(bs, func(i, j int) bool { return bs[i].le < bs[j].le })
-		last := math.Inf(-1)
-		prev := -1.0
+		var h obs.HistSnapshot
+		last, prev := math.Inf(-1), 0.0
 		for _, b := range bs {
 			if b.le <= last {
 				return fmt.Errorf("histogram series %s: duplicate le %g", key, b.le)
 			}
-			last = b.le
 			if b.cum < prev {
 				return fmt.Errorf("histogram series %s: bucket counts not cumulative at le=%g (%g < %g)", key, b.le, b.cum, prev)
 			}
-			prev = b.cum
+			if ns := b.le * 1e9; ns > 0 && !math.IsInf(ns, 1) {
+				if idx := int(math.Round(math.Log2(ns))); idx >= 0 && idx < len(h.Buckets) {
+					h.Buckets[idx] = int64(b.cum - prev)
+				}
+			}
+			last, prev = b.le, b.cum
 		}
-		inf := bs[len(bs)-1]
-		if !math.IsInf(inf.le, 1) {
+		if !math.IsInf(last, 1) {
 			return fmt.Errorf("histogram series %s: missing +Inf bucket", key)
 		}
 		count, ok := counts[key]
 		if !ok {
 			return fmt.Errorf("histogram series %s: missing _count", key)
 		}
-		if count != inf.cum {
-			return fmt.Errorf("histogram series %s: _count %g != +Inf bucket %g", key, count, inf.cum)
+		if count != prev {
+			return fmt.Errorf("histogram series %s: _count %g != +Inf bucket %g", key, count, prev)
 		}
-		if !sums[key] {
+		sum, ok := sums[key]
+		if !ok {
 			return fmt.Errorf("histogram series %s: missing _sum", key)
 		}
+		h.Count, h.SumNanos = int64(count), int64(math.Round(sum*1e9))
+		e.hists[key] = h
 	}
 	return nil
 }
 
-// renderSorted renders labels (minus the skipped names) sorted by
-// name, for use as a stable series key.
-func renderSorted(labels map[string]string, skip ...string) string {
-	skipSet := make(map[string]bool, len(skip))
-	for _, s := range skip {
-		skipSet[s] = true
-	}
-	names := make([]string, 0, len(labels))
-	for n := range labels {
-		if !skipSet[n] {
-			names = append(names, n)
+// seriesKey renders name plus labels (minus skip) with obs's label
+// renderer, so a scraped series keys exactly as obs.RegistrySnapshot
+// keys its in-process twin.
+func seriesKey(name string, labels map[string]string, skip string) string {
+	ls := make([]obs.Label, 0, len(labels))
+	for n, v := range labels {
+		if n != skip {
+			ls = append(ls, obs.Label{Name: n, Value: v})
 		}
 	}
-	if len(names) == 0 {
-		return ""
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, `%s=%q`, n, labels[n])
-	}
-	b.WriteByte('}')
-	return b.String()
+	return obs.SeriesKey(name, ls...)
 }
 
-// sampleKey renders a sample's identity (name plus sorted labels).
-func sampleKey(s Sample) string {
-	return s.Name + renderSorted(s.Labels)
-}
-
-// Key renders the sample's identity — its name plus sorted labels,
-// e.g. `wire_rpc_calls_total{dest="remote"}` — the series key the
-// cluster scrape-delta helpers aggregate by.
-func (s Sample) Key() string { return sampleKey(s) }
-
-// SeriesKey renders a series identity from a name and label set using
-// the same form Key does.
-func SeriesKey(name string, labels map[string]string) string {
-	return name + renderSorted(labels)
-}
-
-// Family resolves a sample name to its declared family and TYPE:
-// histogram child samples (_bucket/_sum/_count) resolve to their
-// histogram family; everything else is its own family. The type is ""
-// when the exposition never declared one.
-func (e *Exposition) Family(name string) (family, typ string) {
-	family = familyOf(name, e.Types)
-	return family, e.Types[family]
-}
-
-// HistSnapshot reconstructs an obs histogram reading from a scraped
-// histogram family: the exposition's cumulative power-of-two `le`
-// bounds (2^i nanoseconds, rendered in seconds) invert exactly onto
-// obs bucket indices, so a scrape-side delta can reuse the same
-// Sub/Quantile/CountAbove arithmetic the in-process recorder uses.
-// labels selects one series of the family (exact match, minus le); ok
-// is false when the family or series is absent.
-func (e *Exposition) HistSnapshot(name string, labels map[string]string) (obs.HistSnapshot, bool) {
-	if e.Types[name] != "histogram" {
-		return obs.HistSnapshot{}, false
-	}
-	want := renderSorted(labels)
-	var h obs.HistSnapshot
-	type bkt struct {
-		idx int
-		cum int64
-	}
-	var bs []bkt
-	found := false
+// Snapshot converts the exposition into an obs registry snapshot, so a
+// scrape takes part in the same Delta arithmetic as an in-process
+// registry. Series keep their first-appearance order; counters stay
+// counters, histograms carry their inverted reading, and every other
+// type reads as a gauge.
+func (e *Exposition) Snapshot() obs.RegistrySnapshot {
+	snap := obs.RegistrySnapshot{Series: make(map[string]obs.SeriesValue)}
 	for _, s := range e.Samples {
-		if renderSorted(s.Labels, "le") != want {
-			continue
+		family := familyOf(s.Name, e.Types)
+		key := seriesKey(family, s.Labels, "le")
+		if _, seen := snap.Series[key]; !seen {
+			snap.Keys = append(snap.Keys, key)
 		}
-		switch s.Name {
-		case name + "_count":
-			h.Count = int64(s.Value)
-			found = true
-		case name + "_sum":
-			h.SumNanos = int64(math.Round(s.Value * 1e9))
-		case name + "_bucket":
-			le, err := parseValue(s.Labels["le"])
-			if err != nil || math.IsInf(le, 1) {
-				continue
-			}
-			idx := int(math.Round(math.Log2(le * 1e9)))
-			if idx < 0 || idx >= len(h.Buckets) {
-				continue
-			}
-			bs = append(bs, bkt{idx: idx, cum: int64(s.Value)})
+		switch e.Types[family] {
+		case "histogram":
+			snap.Series[key] = obs.SeriesValue{Kind: obs.KindHistogram, Hist: e.hists[key]}
+		case "counter":
+			snap.Series[key] = obs.SeriesValue{Kind: obs.KindCounter, Value: s.Value}
+		default:
+			snap.Series[key] = obs.SeriesValue{Kind: obs.KindGauge, Value: s.Value}
 		}
 	}
-	if !found {
-		return obs.HistSnapshot{}, false
-	}
-	// Cumulative counts at ascending bounds back to per-bucket counts;
-	// bounds the writer skipped held no observations.
-	sort.Slice(bs, func(i, j int) bool { return bs[i].idx < bs[j].idx })
-	var prev int64
-	for _, b := range bs {
-		h.Buckets[b.idx] = b.cum - prev
-		prev = b.cum
-	}
-	return h, true
+	return snap
 }
 
 // Value returns the value of the series with the given name and exact
 // label set, and whether it exists.
 func (e *Exposition) Value(name string, labels map[string]string) (float64, bool) {
-	v, ok := e.byKey[name+renderSorted(labels)]
+	v, ok := e.byKey[seriesKey(name, labels, "")]
 	return v, ok
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"math/bits"
 	"time"
 )
 
@@ -48,50 +47,12 @@ type RegistrySnapshot struct {
 // (CounterFunc, GaugeFunc, HistogramFunc) run outside the registry
 // lock, exactly as they do during exposition.
 func (r *Registry) Snapshot() RegistrySnapshot {
-	r.mu.Lock()
-	type entry struct {
-		key  string
-		kind string
-		s    *series
-	}
-	entries := make([]entry, 0, len(r.order))
-	for _, name := range r.order {
-		f := r.families[name]
-		for _, s := range f.series {
-			entries = append(entries, entry{key: name + s.labels, kind: f.kind, s: s})
-		}
-	}
-	r.mu.Unlock()
-
-	snap := RegistrySnapshot{
-		Keys:   make([]string, 0, len(entries)),
-		Series: make(map[string]SeriesValue, len(entries)),
-	}
-	for _, e := range entries {
-		var v SeriesValue
-		switch e.kind {
-		case kindCounter:
-			v.Kind = KindCounter
-		case kindGauge:
-			v.Kind = KindGauge
-		case kindHistogram:
-			v.Kind = KindHistogram
-		}
-		switch {
-		case e.s.counter != nil:
-			v.Value = float64(e.s.counter.Value())
-		case e.s.gauge != nil:
-			v.Value = float64(e.s.gauge.Value())
-		case e.s.fn != nil:
-			v.Value = e.s.fn()
-		case e.s.hist != nil:
-			v.Hist = e.s.hist.Snapshot()
-		case e.s.histFn != nil:
-			v.Hist = e.s.histFn()
-		}
-		snap.Keys = append(snap.Keys, e.key)
-		snap.Series[e.key] = v
-	}
+	snap := RegistrySnapshot{Series: make(map[string]SeriesValue)}
+	r.each(func(f *family, s *series, v SeriesValue) {
+		key := f.name + s.labels
+		snap.Keys = append(snap.Keys, key)
+		snap.Series[key] = v
+	})
 	return snap
 }
 
@@ -170,6 +131,18 @@ func (h HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
 	return out
 }
 
+// Add returns the bucket-wise sum h + o: the merge of two readings,
+// e.g. one histogram series summed across a fleet's daemons or a run's
+// windows summed into its whole-horizon distribution.
+func (h HistSnapshot) Add(o HistSnapshot) HistSnapshot {
+	h.Count += o.Count
+	h.SumNanos += o.SumNanos
+	for i := range h.Buckets {
+		h.Buckets[i] += o.Buckets[i]
+	}
+	return h
+}
+
 // Mean returns the mean recorded duration (zero when empty).
 func (h HistSnapshot) Mean() time.Duration {
 	if h.Count == 0 {
@@ -224,7 +197,7 @@ func (h HistSnapshot) CountAbove(d time.Duration) int64 {
 	if d < 0 {
 		d = 0
 	}
-	target := histBucketOf(int64(d))
+	target := BucketOf(d)
 	var above int64
 	for b := target + 1; b < histBuckets; b++ {
 		above += h.Buckets[b]
@@ -236,10 +209,4 @@ func (h HistSnapshot) CountAbove(d time.Duration) int64 {
 		above += int64(math.Round(frac * float64(c)))
 	}
 	return above
-}
-
-// histBucketOf maps nanoseconds to the histogram bucket index (the
-// same mapping Observe uses).
-func histBucketOf(nanos int64) int {
-	return bits.Len64(uint64(nanos)) % histBuckets
 }

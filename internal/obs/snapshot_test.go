@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -101,8 +102,8 @@ func TestRegistrySnapshotDeterministicKeyOrder(t *testing.T) {
 	}
 }
 
-// observeAll fills a histogram with the given durations and returns the
-// exact q-quantile alongside for comparison.
+// exactQuantile returns the q-quantile of a sorted sample, for
+// comparison with a histogram estimate.
 func exactQuantile(sorted []float64, q float64) float64 {
 	return sorted[int(q*float64(len(sorted)-1))]
 }
@@ -145,7 +146,7 @@ func TestHistQuantileAccuracy(t *testing.T) {
 			// interpolated estimate must not exceed it, and across the
 			// quantile sweep it must be strictly better at least once
 			// (i.e. interpolation is actually engaged).
-			upper := math.Ldexp(1, 64-countLeadingZeros(uint64(exact)))
+			upper := math.Ldexp(1, bits.Len64(uint64(exact)))
 			if est > upper {
 				t.Errorf("%s p%.0f: estimate %.0fns above bucket upper bound %.0f", name, q*100, est, upper)
 			}
@@ -154,25 +155,12 @@ func TestHistQuantileAccuracy(t *testing.T) {
 		// distribution must land strictly inside its bucket, not at the
 		// top edge.
 		med := snap.Quantile(0.5)
-		bucketTop := time.Duration(1) << uint(bitsLen(uint64(med)))
+		bucketTop := time.Duration(1) << uint(bits.Len64(uint64(med)))
 		if med == bucketTop {
 			t.Errorf("%s: median %v sits exactly at a bucket boundary — interpolation not applied", name, med)
 		}
 	}
 }
-
-func countLeadingZeros(v uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if v&(1<<uint(i)) != 0 {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-func bitsLen(v uint64) int { return 64 - countLeadingZeros(v) }
 
 func TestHistCountAbove(t *testing.T) {
 	var h obs.Histogram
@@ -194,6 +182,50 @@ func TestHistCountAbove(t *testing.T) {
 	if all != s.Count {
 		t.Fatalf("CountAbove(0) = %d; want every observation (%d)", all, s.Count)
 	}
+}
+
+// TestHistEdgeCases pins the histogram at its edges: an empty reading
+// estimates zero everywhere, identical records saturate one bucket
+// and every quantile interpolates inside it, and zero and negative
+// records land in bucket 0 and estimate zero.
+func TestHistEdgeCases(t *testing.T) {
+	quantiles := []float64{-1, 0, 0.25, 0.5, 0.99, 1, 2}
+	t.Run("empty", func(t *testing.T) {
+		var h obs.Histogram
+		s := h.Snapshot()
+		for _, q := range quantiles {
+			if got := s.Quantile(q); got != 0 {
+				t.Errorf("empty Quantile(%v) = %v, want 0", q, got)
+			}
+		}
+		if s.Count != 0 || s.SumNanos != 0 || s.Mean() != 0 {
+			t.Errorf("empty reading %+v, mean %v; want zeros", s, s.Mean())
+		}
+	})
+	t.Run("saturated", func(t *testing.T) {
+		var h obs.Histogram
+		const d, n = 1500 * time.Nanosecond, 10_000 // bucket [1024, 2048)
+		for i := 0; i < n; i++ {
+			h.Observe(d)
+		}
+		s := h.Snapshot()
+		if s.Count != n || s.Buckets[obs.BucketOf(d)] != n || s.Mean() != d {
+			t.Fatalf("count %d, bucket %d, mean %v; want all %d records of %v in one bucket", s.Count, s.Buckets[obs.BucketOf(d)], s.Mean(), n, d)
+		}
+		for _, q := range quantiles {
+			if got := s.Quantile(q); got < 1024 || got >= 2048 {
+				t.Errorf("Quantile(%v) = %v outside the saturated bucket [1024ns, 2048ns)", q, got)
+			}
+		}
+	})
+	t.Run("zero-and-negative", func(t *testing.T) {
+		var h obs.Histogram
+		h.Observe(0)
+		h.Observe(-5 * time.Second)
+		if s := h.Snapshot(); s.Buckets[0] != 2 || s.SumNanos != 0 || s.Quantile(0.5) != 0 {
+			t.Fatalf("reading %+v, p50 %v; want 2 records in bucket 0 estimating 0", s, s.Quantile(0.5))
+		}
+	})
 }
 
 func TestHistSubExact(t *testing.T) {

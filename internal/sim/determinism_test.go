@@ -11,9 +11,9 @@ import (
 	"github.com/dht-sampling/randompeer/internal/chord"
 	"github.com/dht-sampling/randompeer/internal/churn"
 	"github.com/dht-sampling/randompeer/internal/core"
+	"github.com/dht-sampling/randompeer/internal/obs"
 	"github.com/dht-sampling/randompeer/internal/ring"
 	"github.com/dht-sampling/randompeer/internal/sim"
-	"github.com/dht-sampling/randompeer/internal/simnet"
 )
 
 // simOutcome fingerprints one full simulation: the executed event trace,
@@ -22,7 +22,7 @@ type simOutcome struct {
 	traceHash uint64
 	events    uint64
 	clock     time.Duration
-	latency   simnet.Latency
+	latency   obs.HistSnapshot
 	owners    []int
 	churned   int
 }

@@ -1,49 +1,22 @@
 package simnet
 
 import (
-	"math/bits"
-	"sync/atomic"
 	"time"
+
+	"github.com/dht-sampling/randompeer/internal/obs"
 )
 
 // Virtual-time latency accounting. The counters in Meter measure cost in
 // RPC round trips; transports that simulate time (internal/sim) also
 // know how long each round trip took on the virtual clock. RecordLatency
-// folds those durations into a log-scaled histogram carried by the same
-// Meter, so experiments snapshot hop counts and latencies through one
-// object with the same before/after discipline.
-
-// latencyBuckets is the number of power-of-two histogram buckets. Bucket
-// b counts round trips with duration in [2^(b-1), 2^b) nanoseconds
-// (bucket 0 counts exact zeros), so 64 buckets cover every int64
-// duration.
-const latencyBuckets = 64
-
-// latencyHist is the mutable histogram inside a Meter. Latencies are
-// recorded only by time-simulating transports — single-threaded under
-// the event kernel, lightly concurrent in free-running mode — so plain
-// atomics without striping are contention-appropriate here. The record
-// count is not stored separately: it is the sum of the buckets,
-// computed at snapshot time, keeping the hot path at two atomic adds.
-type latencyHist struct {
-	sum     atomic.Int64 // nanoseconds
-	buckets [latencyBuckets]atomic.Int64
-}
+// folds those durations into the Meter's obs.Histogram, so experiments
+// snapshot hop counts and latencies through one object with the same
+// before/after discipline, and a registry exposes the meter's histogram
+// by passing Latency to obs.Registry.HistogramFunc.
 
 // RecordLatency records one RPC round trip of virtual duration d.
 // Negative durations are clamped to zero. Safe for concurrent use.
-func (m *Meter) RecordLatency(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	m.lat.sum.Add(int64(d))
-	m.lat.buckets[latencyBucket(int64(d))].Add(1)
-}
-
-// latencyBucket maps nanoseconds to a histogram bucket index.
-func latencyBucket(nanos int64) int {
-	return bits.Len64(uint64(nanos)) % latencyBuckets
-}
+func (m *Meter) RecordLatency(d time.Duration) { m.lat.Observe(d) }
 
 // LatencySumNanos returns the total recorded virtual time without
 // snapshotting the buckets — the read behind free-running virtual
@@ -51,108 +24,27 @@ func latencyBucket(nanos int64) int {
 // total recorded latency is exactly the sequential virtual time). It
 // includes the constant-latency fast lane (count x armed constant).
 func (m *Meter) LatencySumNanos() int64 {
-	sum := m.lat.sum.Load()
+	sum := m.lat.SumNanos()
 	if c := m.constNanos.Load(); c > 0 {
 		sum += c * m.constLaneCount()
 	}
 	return sum
 }
 
-// Latency is an immutable snapshot of a Meter's latency histogram.
-type Latency struct {
-	// Count is the number of recorded round trips.
-	Count int64
-	// SumNanos is the total recorded virtual time in nanoseconds.
-	SumNanos int64
-	// Buckets[b] counts round trips in [2^(b-1), 2^b) nanoseconds
-	// (Buckets[0] counts exact zeros).
-	Buckets [latencyBuckets]int64
-}
-
 // Latency returns the current latency histogram. Like Cost snapshots, a
 // reading taken while records are in flight is linearizable per counter
 // but not an atomic cut across them; measure quiesced operations with a
-// before/after pair.
-func (m *Meter) Latency() Latency {
-	var l Latency
-	l.SumNanos = m.lat.sum.Load()
-	for i := range l.Buckets {
-		l.Buckets[i] = m.lat.buckets[i].Load()
-		l.Count += l.Buckets[i]
-	}
+// before/after pair and HistSnapshot.Sub.
+func (m *Meter) Latency() obs.HistSnapshot {
+	l := m.lat.Snapshot()
 	// Fold in the constant-latency fast lane: n records of exactly the
 	// armed constant.
 	if c := m.constNanos.Load(); c >= 0 {
 		if n := m.constLaneCount(); n > 0 {
 			l.SumNanos += c * n
-			l.Buckets[latencyBucket(c)] += n
+			l.Buckets[obs.BucketOf(time.Duration(c))] += n
 			l.Count += n
 		}
 	}
 	return l
-}
-
-// LatencyWindow returns the latency recorded since the cursor's last
-// reading and advances the cursor to the current snapshot. Starting
-// from a zero-valued cursor, successive calls partition the meter's
-// history into contiguous windows — the read behind the windowed
-// recorder's per-window quantiles. Each caller must own its cursor;
-// distinct cursors window the same meter independently.
-func (m *Meter) LatencyWindow(cursor *Latency) Latency {
-	cur := m.Latency()
-	delta := cur.Sub(*cursor)
-	*cursor = cur
-	return delta
-}
-
-// Sub returns the component-wise difference l - prev, used to measure
-// the latency distribution of one operation between two snapshots.
-func (l Latency) Sub(prev Latency) Latency {
-	out := Latency{Count: l.Count - prev.Count, SumNanos: l.SumNanos - prev.SumNanos}
-	for i := range l.Buckets {
-		out.Buckets[i] = l.Buckets[i] - prev.Buckets[i]
-	}
-	return out
-}
-
-// Mean returns the mean recorded round-trip duration (zero when empty).
-func (l Latency) Mean() time.Duration {
-	if l.Count == 0 {
-		return 0
-	}
-	return time.Duration(l.SumNanos / l.Count)
-}
-
-// Quantile returns an estimate of the q-quantile (q in [0, 1]) of the
-// recorded durations, interpolating linearly inside the matching
-// power-of-two bucket. The estimate's relative error is bounded by the
-// bucket width (a factor of two).
-func (l Latency) Quantile(q float64) time.Duration {
-	if l.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q * float64(l.Count-1))
-	var seen int64
-	for b, c := range l.Buckets {
-		if c == 0 {
-			continue
-		}
-		if rank < seen+c {
-			if b == 0 {
-				return 0
-			}
-			lo := int64(1) << (b - 1)
-			hi := lo << 1
-			frac := float64(rank-seen) / float64(c)
-			return time.Duration(lo + int64(frac*float64(hi-lo)))
-		}
-		seen += c
-	}
-	return time.Duration(l.SumNanos / l.Count) // unreachable when counts are consistent
 }

@@ -6,83 +6,10 @@ import (
 	"time"
 )
 
-// Edge cases of the latency histogram: empty snapshots, saturation of a
-// single bucket, and Reset racing the constant-latency fast lane.
-
-func TestLatencyEmptyQuantiles(t *testing.T) {
-	t.Parallel()
-	var m Meter
-	l := m.Latency()
-	if l.Count != 0 || l.SumNanos != 0 {
-		t.Fatalf("empty histogram: count %d sum %d", l.Count, l.SumNanos)
-	}
-	for _, q := range []float64{-1, 0, 0.5, 0.99, 1, 2} {
-		if got := l.Quantile(q); got != 0 {
-			t.Errorf("empty Quantile(%v) = %v, want 0", q, got)
-		}
-	}
-	if l.Mean() != 0 {
-		t.Errorf("empty Mean = %v, want 0", l.Mean())
-	}
-}
-
-func TestLatencySingleBucketSaturation(t *testing.T) {
-	t.Parallel()
-	var m Meter
-	// 1500ns lands in bucket [1024, 2048); with every record identical
-	// all quantiles must interpolate inside that one bucket.
-	const d = 1500 * time.Nanosecond
-	const n = 10_000
-	for i := 0; i < n; i++ {
-		m.RecordLatency(d)
-	}
-	l := m.Latency()
-	if l.Count != n {
-		t.Fatalf("count = %d, want %d", l.Count, n)
-	}
-	if l.SumNanos != n*int64(d) {
-		t.Fatalf("sum = %d, want %d", l.SumNanos, n*int64(d))
-	}
-	var nonzero int
-	for b, c := range l.Buckets {
-		if c == 0 {
-			continue
-		}
-		nonzero++
-		if c != n {
-			t.Fatalf("bucket %d holds %d records, want all %d", b, c, n)
-		}
-	}
-	if nonzero != 1 {
-		t.Fatalf("%d buckets populated, want exactly 1", nonzero)
-	}
-	lo, hi := time.Duration(1024), time.Duration(2048)
-	for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
-		if got := l.Quantile(q); got < lo || got >= hi {
-			t.Errorf("Quantile(%v) = %v outside saturated bucket [%v, %v)", q, got, lo, hi)
-		}
-	}
-	if mean := l.Mean(); mean != d {
-		t.Errorf("Mean = %v, want %v", mean, d)
-	}
-}
-
-func TestLatencyZeroAndNegativeRecords(t *testing.T) {
-	t.Parallel()
-	var m Meter
-	m.RecordLatency(0)
-	m.RecordLatency(-5 * time.Second) // clamped to zero
-	l := m.Latency()
-	if l.Count != 2 || l.SumNanos != 0 {
-		t.Fatalf("count %d sum %d, want 2 and 0", l.Count, l.SumNanos)
-	}
-	if l.Buckets[0] != 2 {
-		t.Fatalf("zero bucket holds %d, want 2", l.Buckets[0])
-	}
-	if got := l.Quantile(0.5); got != 0 {
-		t.Errorf("Quantile(0.5) = %v, want 0", got)
-	}
-}
+// The meter's latency histogram is an obs.Histogram, whose edge cases
+// (empty readings, one saturated bucket, zero and negative records)
+// obs tests; these tests pin what the meter adds: the constant-latency
+// fast lane folded into every reading, and Reset clearing it.
 
 // TestLatencyResetDuringConstLane races Reset against the
 // constant-latency fast lane. The invariant under the race: snapshots
@@ -147,72 +74,22 @@ func TestLatencyResetDuringConstLane(t *testing.T) {
 	}
 }
 
-func TestLatencyWindowPartitionsHistory(t *testing.T) {
-	t.Parallel()
-	var m Meter
-	var cursor Latency
-
-	m.RecordLatency(time.Millisecond)
-	m.RecordLatency(2 * time.Millisecond)
-	w1 := m.LatencyWindow(&cursor)
-	if w1.Count != 2 || w1.SumNanos != int64(3*time.Millisecond) {
-		t.Fatalf("window 1: count %d sum %d; want the first two records", w1.Count, w1.SumNanos)
-	}
-
-	m.RecordLatency(8 * time.Millisecond)
-	w2 := m.LatencyWindow(&cursor)
-	if w2.Count != 1 || w2.SumNanos != int64(8*time.Millisecond) {
-		t.Fatalf("window 2: count %d sum %d; want only the third record", w2.Count, w2.SumNanos)
-	}
-
-	// Quiet window: no records between reads.
-	w3 := m.LatencyWindow(&cursor)
-	if w3.Count != 0 || w3.SumNanos != 0 {
-		t.Fatalf("quiet window: count %d sum %d; want zeros", w3.Count, w3.SumNanos)
-	}
-
-	// Windows must sum back to the full history.
-	total := m.Latency()
-	if got := w1.Count + w2.Count + w3.Count; got != total.Count {
-		t.Fatalf("window counts sum to %d; meter holds %d", got, total.Count)
-	}
-	if got := w1.SumNanos + w2.SumNanos + w3.SumNanos; got != total.SumNanos {
-		t.Fatalf("window sums total %d; meter holds %d", got, total.SumNanos)
-	}
-}
-
-func TestLatencyWindowIndependentCursors(t *testing.T) {
-	t.Parallel()
-	var m Meter
-	var a, b Latency
-	m.RecordLatency(time.Millisecond)
-	if w := m.LatencyWindow(&a); w.Count != 1 {
-		t.Fatalf("cursor a window 1: count %d; want 1", w.Count)
-	}
-	m.RecordLatency(time.Millisecond)
-	// Cursor b never read, so its window spans the whole history.
-	if w := m.LatencyWindow(&b); w.Count != 2 {
-		t.Fatalf("cursor b window: count %d; want full history (2)", w.Count)
-	}
-	if w := m.LatencyWindow(&a); w.Count != 1 {
-		t.Fatalf("cursor a window 2: count %d; want 1", w.Count)
-	}
-}
-
+// TestLatencyWindowConstLane pins the constant-latency lane inside
+// windowed reads: successive Latency readings differenced with Sub
+// carry exactly the lane's records of each window.
 func TestLatencyWindowConstLane(t *testing.T) {
 	t.Parallel()
 	var m Meter
 	const d = 250 * time.Microsecond
 	m.ArmConstLatency(d)
-	var cursor Latency
 	m.ChargeConstSuccess()
 	m.ChargeConstSuccess()
-	w := m.LatencyWindow(&cursor)
+	w := m.Latency()
 	if w.Count != 2 || w.SumNanos != 2*int64(d) {
 		t.Fatalf("const-lane window: count %d sum %d; want 2 records of %v", w.Count, w.SumNanos, d)
 	}
 	m.ChargeConstSuccess()
-	w = m.LatencyWindow(&cursor)
+	w = m.Latency().Sub(w)
 	if w.Count != 1 || w.SumNanos != int64(d) {
 		t.Fatalf("const-lane window 2: count %d sum %d; want 1 record of %v", w.Count, w.SumNanos, d)
 	}

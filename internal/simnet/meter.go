@@ -15,6 +15,8 @@ import (
 	"math/rand/v2"
 	"sync/atomic"
 	"time"
+
+	"github.com/dht-sampling/randompeer/internal/obs"
 )
 
 // meterShards is the number of independently updated counter shards in a
@@ -73,7 +75,7 @@ type Meter struct {
 	// (0 = lane unarmed). Written once by ArmConstLatency before the
 	// transport goes hot; read by the snapshot methods.
 	constNanos atomic.Int64
-	lat        latencyHist
+	lat        obs.Histogram
 }
 
 // Cost is an immutable snapshot of a Meter.
@@ -169,10 +171,7 @@ func (m *Meter) Reset() {
 		s.failures.Store(0)
 		s.constOK.Store(0)
 	}
-	m.lat.sum.Store(0)
-	for i := range m.lat.buckets {
-		m.lat.buckets[i].Store(0)
-	}
+	m.lat.Reset()
 }
 
 // Sub returns the component-wise difference c - prev, used to measure the

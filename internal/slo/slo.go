@@ -21,6 +21,7 @@ package slo
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"github.com/dht-sampling/randompeer/internal/obs"
@@ -74,6 +75,46 @@ type WindowInput struct {
 	Start, End time.Duration
 	OK, Failed int64
 	Latency    obs.HistSnapshot
+}
+
+// Series names the registry series a window is read from. OK and
+// Failed name counters: a bare family name sums every label set of the
+// family, a full name{labels} key reads that one series. An empty OK
+// counts the latency histogram's records as the window's successes.
+type Series struct {
+	Latency string // histogram series key
+	OK      string // success counter ("" = the Latency series' count)
+	Failed  string // failure counter
+}
+
+// Window maps one registry delta over [start, end) onto the engine's
+// window input — the one mapping shared by the virtual-time recorder
+// (E28), the daemon's live recorder and fleet scrape deltas.
+func Window(start, end time.Duration, delta obs.RegistrySnapshot, s Series) WindowInput {
+	in := WindowInput{Start: start, End: end}
+	in.Latency, _ = delta.Hist(s.Latency)
+	if s.OK == "" {
+		in.OK = in.Latency.Count
+	} else {
+		in.OK = sumSeries(delta, s.OK)
+	}
+	in.Failed = sumSeries(delta, s.Failed)
+	return in
+}
+
+// sumSeries adds up the scalar series keyed name, or name{...} when
+// name is a bare family name.
+func sumSeries(delta obs.RegistrySnapshot, name string) int64 {
+	var total int64
+	for _, key := range delta.Keys {
+		if key != name && !strings.HasPrefix(key, name+"{") {
+			continue
+		}
+		if v, ok := delta.Value(key); ok {
+			total += int64(v)
+		}
+	}
+	return total
 }
 
 // WindowReport is one evaluated window.
@@ -173,7 +214,7 @@ func Evaluate(obj Objectives, windows []WindowInput) Report {
 		if w.SlowBurn {
 			rep.SlowBurnWindows++
 		}
-		total = mergeHist(total, in.Latency)
+		total = total.Add(in.Latency)
 	}
 	rep.LatencyOverall = total.Quantile(obj.LatencyQuantile)
 	if rep.TotalRequests > 0 {
@@ -190,16 +231,6 @@ func Evaluate(obj Objectives, windows []WindowInput) Report {
 		rep.Met = rep.Availability >= obj.Availability && rep.LatencyOverall <= obj.LatencyTarget
 	}
 	return rep
-}
-
-// mergeHist adds two histogram deltas bucket-wise.
-func mergeHist(a, b obs.HistSnapshot) obs.HistSnapshot {
-	a.Count += b.Count
-	a.SumNanos += b.SumNanos
-	for i := range a.Buckets {
-		a.Buckets[i] += b.Buckets[i]
-	}
-	return a
 }
 
 // String summarizes the report in one line.

@@ -17,6 +17,7 @@ import (
 
 	"github.com/dht-sampling/randompeer/internal/obs"
 	"github.com/dht-sampling/randompeer/internal/simnet"
+	"github.com/dht-sampling/randompeer/internal/slo"
 )
 
 // RPCPath is the URL path every wire transport serves node RPCs on.
@@ -40,6 +41,37 @@ const (
 	DefaultBackoffCap = 400 * time.Millisecond
 )
 
+// Limits at the network edge: input beyond them fails closed. They are
+// protocol constants, not options. The largest envelope the test suite
+// carries is a 390-byte reply (a kademlia findNode shortlist). The cap
+// also bounds the chord storage plane over wire: one putReq value, and
+// one PullKeys transfer, which asks for a node's whole key range in a
+// single rangeReq/rangeResp — a range holding more than 1 MiB of items
+// fails as app.
+const (
+	// maxMessageBytes bounds one RPC envelope, request or reply. An
+	// oversized request is refused with 413; an oversized reply fails
+	// the call.
+	maxMessageBytes = 1 << 20
+	// readHeaderTimeout and readTimeout bound how long a server waits
+	// for a request's headers and for the whole request, so a peer that
+	// trickles bytes cannot pin a connection. Ten seconds reads even the
+	// daemon's largest control request (see cmd/randpeerd) many times
+	// over on a LAN.
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+)
+
+// NewServer returns an HTTP server for h with the edge's read limits.
+// Every server carrying RPCPath, the daemon's included, is built here.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+	}
+}
+
 // Transport is a simnet.Transport whose RPCs travel over HTTP on real
 // TCP sockets. Each process runs one Transport: locally registered
 // handlers are served at RPCPath, and Call routes by destination node
@@ -53,7 +85,8 @@ const (
 // attempt that times out fails with ErrDropped (the message is lost in
 // flight); a destination whose process is unreachable (connection
 // refused/reset, mid-call crash) fails with ErrNodeDead after the
-// retry budget. Handler-level errors pass through without retries.
+// retry budget. Handler-level errors, non-200 answers and oversized or
+// malformed replies come from a live peer and fail without retries.
 //
 // All methods are safe for concurrent use.
 type Transport struct {
@@ -197,7 +230,7 @@ func (t *Transport) Start(addr string) error {
 	}
 	mux := http.NewServeMux()
 	mux.Handle(RPCPath, t.RPCHandler())
-	srv := &http.Server{Handler: mux}
+	srv := NewServer(mux)
 	t.mu.Lock()
 	t.lis, t.srv = lis, srv
 	t.mu.Unlock()
@@ -427,8 +460,10 @@ func (t *Transport) callRemote(from, to simnet.NodeID, addr string, msg simnet.M
 }
 
 // attempt performs one HTTP POST under the per-attempt deadline.
-// Network-level failures return an error; a parsed response envelope
-// (success or remote error) returns nil.
+// Network-level failures return an error; anything the peer answered
+// returns an envelope. A non-200 status, an oversized reply or a
+// malformed one comes from a live process, so like a remote error envelope it is
+// authoritative — no retry — and classed app.
 func (t *Transport) attempt(url string, body []byte) (*rpcResponse, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), t.callTimeout)
 	defer cancel()
@@ -442,16 +477,20 @@ func (t *Transport) attempt(url string, body []byte) (*rpcResponse, error) {
 		return nil, err
 	}
 	defer httpResp.Body.Close()
-	data, err := io.ReadAll(httpResp.Body)
+	data, err := io.ReadAll(io.LimitReader(httpResp.Body, maxMessageBytes+1))
 	if err != nil {
 		return nil, err
 	}
-	if httpResp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("http status %d: %s", httpResp.StatusCode, data)
+	switch {
+	case httpResp.StatusCode != http.StatusOK:
+		msg := fmt.Sprintf("http status %d: %s", httpResp.StatusCode, bytes.TrimSpace(data[:min(len(data), 256)]))
+		return &rpcResponse{Err: &rpcError{Kind: kindApp, Msg: msg}}, nil
+	case len(data) > maxMessageBytes:
+		return &rpcResponse{Err: &rpcError{Kind: kindApp, Msg: fmt.Sprintf("reply exceeds %d bytes", maxMessageBytes)}}, nil
 	}
 	var reply rpcResponse
 	if err := json.Unmarshal(data, &reply); err != nil {
-		return nil, fmt.Errorf("malformed response envelope: %w", err)
+		return &rpcResponse{Err: &rpcError{Kind: kindApp, Msg: fmt.Sprintf("malformed response envelope: %v", err)}}, nil
 	}
 	return &reply, nil
 }
@@ -510,8 +549,12 @@ func (t *Transport) RPCHandler() http.Handler {
 			return
 		}
 		var req rpcRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, fmt.Sprintf("wire: malformed request: %v", err), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMessageBytes)).Decode(&req); err != nil {
+			code := http.StatusBadRequest
+			if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, fmt.Sprintf("wire: malformed request: %v", err), code)
 			return
 		}
 		writeReply(w, t.serveRPC(&req))
@@ -571,6 +614,18 @@ func (t *Transport) dispatchRPC(req *rpcRequest) *rpcResponse {
 	return &rpcResponse{Type: name, Body: body}
 }
 
+// The RPC series an SLO window reads, declared once here where
+// RegisterMetrics registers them.
+const (
+	durationMetric = "wire_rpc_duration_seconds"
+	failuresMetric = "wire_rpc_failures_total"
+)
+
+// SLOSeries maps a delta of RegisterMetrics' series onto an SLO window:
+// successes are the round trips the duration histogram recorded,
+// failures the taxonomy counters summed over kinds.
+var SLOSeries = slo.Series{Latency: durationMetric, Failed: failuresMetric}
+
 // RegisterMetrics exposes the transport's counters and its per-call
 // latency histogram on an obs registry under the wire_ prefix. The
 // histogram is the meter's: every successful Call records its wall
@@ -587,7 +642,7 @@ func (t *Transport) RegisterMetrics(r *obs.Registry) {
 		obs.Label{Name: "dest", Value: "remote"})
 	for i, kind := range failKinds {
 		c := &t.stats.fails[i]
-		r.CounterFunc("wire_rpc_failures_total",
+		r.CounterFunc(failuresMetric,
 			"Failed outbound RPCs by simnet taxonomy class.",
 			func() float64 { return float64(c.Load()) },
 			obs.Label{Name: "kind", Value: kind})
@@ -604,12 +659,9 @@ func (t *Transport) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("wire_rpc_served_total",
 		"Inbound RPCs served by this process (successfully or not).",
 		func() float64 { return float64(t.served.Load()) })
-	r.HistogramFunc("wire_rpc_duration_seconds",
+	r.HistogramFunc(durationMetric,
 		"Wall round-trip time of successful outbound RPCs.",
-		func() obs.HistSnapshot {
-			l := t.meter.Latency()
-			return obs.HistSnapshot{Count: l.Count, SumNanos: l.SumNanos, Buckets: l.Buckets}
-		})
+		t.meter.Latency)
 }
 
 // writeReply serializes one response envelope.

@@ -3,7 +3,10 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -408,5 +411,72 @@ func TestDeregisterAllForReprovision(t *testing.T) {
 	}
 	if _, err := client.Call(1, 50, echoReq{}); err != nil {
 		t.Fatalf("call after re-provision: %v", err)
+	}
+}
+
+// TestOversizedRequestGets413 pins the inbound edge: an envelope beyond
+// the message limit is refused before it is buffered, and the handler
+// never runs.
+func TestOversizedRequestGets413(t *testing.T) {
+	t.Parallel()
+	var handled atomic.Int32
+	server := startTransport(t)
+	if err := server.Register(5, func(simnet.NodeID, simnet.Message) (simnet.Message, error) {
+		handled.Add(1)
+		return echoResp{}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	body := `{"from":1,"to":5,"type":"wiretest.echoReq","body":{"S":"` + strings.Repeat("a", maxMessageBytes) + `"}}`
+	resp, err := http.Post("http://"+server.Addr()+RPCPath, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized request: status %d, want 413", resp.StatusCode)
+	}
+	if handled.Load() != 0 {
+		t.Fatal("handler ran on an oversized request")
+	}
+}
+
+// TestPeerAnswersAreAuthoritative pins the outbound edge: a non-200
+// status, a reply beyond the message limit (read no further than the
+// limit) or a 200 whose body is not an envelope comes from a live process, so like a remote error envelope it
+// fails the call after one attempt, classed app — never retried into a
+// false "dead".
+func TestPeerAnswersAreAuthoritative(t *testing.T) {
+	cases := map[string]struct {
+		status     int
+		body, want string
+	}{
+		"4xx":             {http.StatusBadRequest, "no such route\n", "http status 400"},
+		"oversized reply": {http.StatusOK, `{"type":"wiretest.echoResp","body":{"S":"` + strings.Repeat("a", maxMessageBytes) + `"}}`, "reply exceeds"},
+		"malformed 200":   {http.StatusOK, "<html>proxy error</html>", "malformed response envelope"},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			var hits atomic.Int32
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				hits.Add(1)
+				w.WriteHeader(c.status)
+				_, _ = io.WriteString(w, c.body)
+			}))
+			defer peer.Close()
+			client := NewTransport(WithRetries(2, time.Millisecond, time.Millisecond), withSleep(func(time.Duration) {}))
+			defer client.Close()
+			client.SetRoute(9, strings.TrimPrefix(peer.URL, "http://"))
+			_, err := client.Call(1, 9, echoReq{})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("call error = %v, want %q", err, c.want)
+			}
+			if class := simnet.ErrorClass(err); class != "app" {
+				t.Fatalf("error classed %q, want app", class)
+			}
+			if got, retries := hits.Load(), client.stats.retries.Load(); got != 1 || retries != 0 {
+				t.Fatalf("peer saw %d attempts after %d retries, want 1 and 0", got, retries)
+			}
+		})
 	}
 }

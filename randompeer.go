@@ -78,7 +78,7 @@ type (
 	LatencyModel = sim.Model
 	// LatencySnapshot is an immutable view of the per-RPC virtual
 	// latency histogram a time-simulating testbed records.
-	LatencySnapshot = simnet.Latency
+	LatencySnapshot = obs.HistSnapshot
 	// Trace is a hop-level record of one traced operation (see
 	// TraceSample).
 	Trace = obs.Trace
